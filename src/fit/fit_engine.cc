@@ -264,6 +264,13 @@ runGeneration(const FitSetup& setup, const FitOptions& fit,
     accounting.notRun += report.value().notRun;
     accounting.retried += report.value().retried;
     accounting.wallSeconds += report.value().wallSeconds;
+    if (accounting.wallSeconds > 0) {
+        accounting.tasksPerSecond =
+            static_cast<double>(accounting.ok + accounting.failed +
+                                accounting.quarantined +
+                                accounting.timedOut) /
+            accounting.wallSeconds;
+    }
     interrupted = report.value().interrupted;
     globalMetrics().counter("fit.evaluations").add(
         static_cast<std::uint64_t>(report.value().ok));

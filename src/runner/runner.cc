@@ -193,10 +193,11 @@ BatchRunner::stopRequested() const
 Result<std::string>
 BatchRunner::invokeOnce(const TaskContext& context)
 {
-    // The named-failpoint site for task invocation. Error is reported
-    // transient (exercises the retry ladder like the legacy FaultPlan);
-    // Stall blocks until the watchdog cancels, bounded like the
-    // FaultKind::Timeout path below.
+    // The named-failpoint site for task invocation, seeded by the task
+    // seed so the same tasks fault in every run and resume leg. Error is
+    // reported transient (exercises the retry ladder); Stall blocks
+    // until the watchdog cancels, bounded so a stall without an armed
+    // deadline cannot hang the campaign.
     FailpointHit hit = failpointHit("runner.task", context.seed);
     if (hit.fired()) {
         if (metricsEnabled())
@@ -223,33 +224,6 @@ BatchRunner::invokeOnce(const TaskContext& context)
         }
         case FailpointAction::Abort: std::abort();
         default: break; // Delay already slept; PartialWrite is n/a here
-        }
-    }
-    if (options_.faultPlan.shouldFault(context.seed)) {
-        if (metricsEnabled())
-            runnerInstruments().faults.add();
-        switch (options_.faultPlan.kind) {
-        case FaultKind::Error:
-            return Error{strformat("injected transient fault "
-                                   "(task %lld, attempt %d)",
-                                   context.index, context.attempt),
-                         0, 0, "", "T-FAULT-INJECT"};
-        case FaultKind::Crash:
-            throw std::runtime_error(
-                strformat("injected crash (task %lld)", context.index));
-        case FaultKind::Timeout: {
-            // Stall until the watchdog cancels us; bounded so a plan
-            // without an armed deadline cannot hang the campaign.
-            double cap = options_.taskTimeoutSeconds > 0
-                             ? options_.taskTimeoutSeconds * 4
-                             : 0.2;
-            Clock::time_point start = Clock::now();
-            while (!context.cancelled() && secondsSince(start) < cap)
-                sleepSeconds(0.001);
-            return Error{strformat("injected stall (task %lld)",
-                                   context.index),
-                         0, 0, "", "T-FAULT-STALL"};
-        }
         }
     }
     return fn_(context);

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "runner/fault_injection.h"
 #include "runner/worker_pool.h"
 #include "util/diag.h"
 #include "util/result.h"
@@ -149,8 +148,6 @@ struct RunnerOptions {
     std::string checkpointPath;
     /** Skip tasks recorded "ok" in the checkpoint file. */
     bool resume = false;
-    /** Deterministic fault injection (test hook). */
-    FaultPlan faultPlan;
     /**
      * Graceful-stop flag (e.g. raised by a SIGINT handler). Polled
      * between tasks: no new task starts once it is true.

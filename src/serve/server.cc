@@ -577,8 +577,10 @@ Server::handleRequest(Session& session, const ServeRequest& request,
                 DramPowerModel(*snapshot));
             cached = true;
         } else {
-            Result<DramPowerModel> model =
-                DramPowerModel::create(std::move(desc));
+            // create() resolves the floorplan in its copy; the cache keeps
+            // the description as parsed, so a model built from a cache
+            // hit still re-derives its die under geometry perturbations.
+            Result<DramPowerModel> model = DramPowerModel::create(desc);
             if (!model.ok()) {
                 const Error& error = model.error();
                 return renderServeError(
@@ -586,7 +588,7 @@ Server::handleRequest(Session& session, const ServeRequest& request,
                     error.code.empty() ? "E-SERVE-REQUEST" : error.code,
                     error.toString());
             }
-            cache_.put(key, model.value().description());
+            cache_.put(key, std::move(desc));
             session.evaluator = std::make_unique<VariantEvaluator>(
                 std::move(model).value());
         }

@@ -33,7 +33,7 @@ constexpr const char* kFailpointNames[] = {
     "fleet.route",      // router worker-selection for a request
     "fleet.spawn",      // supervisor worker process spawn
     "model.rebuild",    // DramPowerModel::build stage rebuild
-    "runner.task",      // BatchRunner task invocation (FaultPlan site)
+    "runner.task",      // BatchRunner task invocation
     "serve.request",    // serve request evaluation
     "serve.response",   // serve response socket write
     "trace.slice",      // parallel trace campaign slice read

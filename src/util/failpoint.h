@@ -30,7 +30,7 @@
  * of that failpoint (1-based), so "abort mid-way through the 13th
  * checkpoint append" is one spec string. `@rate` fires a deterministic
  * fraction of evaluations: seed-based when the site supplies a seed
- * (stable across retries/resume legs, like the runner's FaultPlan),
+ * (stable across retries/resume legs),
  * counter-based otherwise.
  *
  * The set of failpoint names is closed: an unknown name in the spec is

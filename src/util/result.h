@@ -25,9 +25,9 @@ struct Error {
     /** 1-based column in the input line; 0 when not applicable. */
     int column = 0;
     /** Input file name; empty when not applicable. */
-    std::string file;
+    std::string file = {};
     /** Stable diagnostic code ("E-TECH-RANGE", ...); empty when unset. */
-    std::string code;
+    std::string code = {};
 
     /**
      * Render "file:line:col: message" with every absent location part

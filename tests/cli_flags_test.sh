@@ -111,17 +111,20 @@ row 2 "--detailed=1" sensitivity $P --detailed=1
 row 2 "unknown flag '--csv'" sensitivity $P --csv
 row 2 "unknown flag '--bogus'" sensitivity $P --bogus
 row 2 "unknown flag '--detailed'" trends --detailed
+fixed 2 "stray" sensitivity $P stray --detailed
 row 0 "" trends
 row 0 "" trends --csv
 row 2 "--csv=1" trends --csv=1
 row 2 "unknown flag '--json'" trends --json
 row 2 "unknown flag '--bogus'" trends --bogus
 row 2 "unknown flag '--csv'" idd $P --csv
+fixed 2 "bogus" trends bogus --csv
 row 0 "" workload $P "$DIR/access.trace"
 row 0 "" workload $P "$DIR/access.trace" --closed
 row 2 "--closed=1" workload $P "$DIR/access.trace" --closed=1
 row 2 "unknown flag '--closed'" sched $P --closed
 row 2 "unknown flag '--bogus'" workload $P "$DIR/access.trace" --bogus
+fixed 2 "stray" workload $P "$DIR/access.trace" stray --closed
 
 # --- gen-trace positionals -------------------------------------------
 row 0 "" gen-trace $P random 10
@@ -130,6 +133,7 @@ row 2 "got 0" gen-trace $P random 0
 row 2 "100000000" gen-trace $P random 100000001
 row 2 "bogus" gen-trace $P bogus 10
 row 2 "unknown flag '--bogus'" gen-trace $P random 10 --bogus
+fixed 2 "got abc" gen-trace $P random abc
 
 # --- montecarlo ------------------------------------------------------
 row 0 "" $MC
@@ -289,10 +293,13 @@ row 2 "--queue" serve --queue=0
 row 2 "--queue" serve --queue=abc
 row 2 "$NEEDS" serve --deadline=5
 row 2 "--deadline" serve --deadline=-1
+fixed 2 "abc" serve --deadline=abc
 row 2 "$NEEDS" serve --max-deadline=30
 row 2 "--max-deadline" serve --max-deadline=0
+fixed 2 "abc" serve --max-deadline=abc
 row 2 "$NEEDS" serve --idle-timeout=0
 row 2 "--idle-timeout" serve --idle-timeout=-1
+fixed 2 "1s" serve --idle-timeout=1s
 row 2 "$NEEDS" serve --cache=16
 row 2 "--cache" serve --cache=4097
 row 2 "--cache" serve --cache=abc
@@ -320,8 +327,10 @@ row 2 "--workers" fleet --workers=abc
 row 2 "$NEEDS" fleet --worker-dir="$DIR"
 row 2 "$NEEDS" fleet --heartbeat=0.5
 row 2 "--heartbeat" fleet --heartbeat=0
+fixed 2 "2x" fleet --heartbeat=2x
 row 2 "$NEEDS" fleet --heartbeat-deadline=3
 row 2 "--heartbeat-deadline" fleet --heartbeat-deadline=-1
+fixed 2 "abc" fleet --heartbeat-deadline=abc
 row 2 "$NEEDS" fleet --restart-budget=2
 row 2 "--restart-budget" fleet --restart-budget=1001
 row 2 "--restart-budget" fleet --restart-budget=abc
@@ -330,12 +339,17 @@ row 2 "--restart-base-ms" fleet --restart-base-ms=0
 row 2 "--restart-base-ms" fleet --restart-base-ms=abc
 row 2 "$NEEDS" fleet --drain-timeout=5
 row 2 "--drain-timeout" fleet --drain-timeout=0
+fixed 2 "abc" fleet --drain-timeout=abc
 row 2 "$NEEDS" fleet --failover-wait=1
 row 2 "--failover-wait" fleet --failover-wait=0
+fixed 2 "abc" fleet --failover-wait=abc
 row 2 "$NEEDS" fleet --queue=4 --deadline=5 --max-deadline=30 \
     --idle-timeout=0 --cache=16 --jobs=1
 row 2 "--queue" fleet --queue=0
 row 2 "--deadline" fleet --deadline=-1
+fixed 2 "abc" fleet --deadline=abc
+fixed 2 "abc" fleet --max-deadline=abc
+fixed 2 "abc" fleet --idle-timeout=abc
 row 2 "--cache" fleet --cache=abc
 row 2 "--port" fleet --port=abc
 row 2 "unknown flag '--retries" fleet --retries=2

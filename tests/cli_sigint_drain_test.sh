@@ -19,10 +19,10 @@ DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 CKPT="$DIR/ckpt.jsonl"
 
-# Stalled (timeout-kind) faults slow the run down enough for the signal
-# to land mid-campaign; --task-timeout keeps each stall short.
-FLAGS="--samples=80 --seed=3 --inject-fault=0.5:timeout"
-FLAGS="$FLAGS --task-timeout=0.05"
+# Stalled task faults slow the run down enough for the signal to land
+# mid-campaign; --task-timeout keeps each stall short.
+export VDRAM_FAILPOINTS=runner.task=stall@0.5
+FLAGS="--samples=80 --seed=3 --task-timeout=0.05"
 
 "$CLI" montecarlo preset:ddr2_1g_75 $FLAGS --jobs=2 \
     --checkpoint="$CKPT" --ready-marker \

@@ -126,8 +126,9 @@ runFullPipeline(const std::string& text)
     ParsedDescription parsed = parseDescriptionDiag(text, diags, "fuzz.dram");
     validateDescription(parsed.description, diags, &parsed.source);
     for (const Diagnostic& d : diags.diagnostics()) {
-        if (d.severity == Severity::Error)
+        if (d.severity == Severity::Error) {
             EXPECT_FALSE(d.code.empty()) << d.message;
+        }
     }
     if (!diags.hasErrors()) {
         Result<DramPowerModel> model =

@@ -27,7 +27,6 @@
 #include "presets/presets.h"
 #include "protocol/trace_stream.h"
 #include "runner/checkpoint.h"
-#include "runner/fault_injection.h"
 #include "runner/runner.h"
 #include "runner/trace_campaign.h"
 #include "serve/supervisor.h"
@@ -92,6 +91,9 @@ TEST(FailpointSpecTest, RejectsMalformedSpecs)
         "ckpt.append=explode",    // unknown action
         "ckpt.append=error@1.5",  // rate out of range
         "ckpt.append=error@abc",  // rate not a number
+        "ckpt.append=error@-0.1", // rate out of range
+        "ckpt.append=error@nan",  // rate not a number
+        "ckpt.append=error@",     // empty rate
         "ckpt.append=delay",      // delay needs ms
         "ckpt.append=error:0",    // hit index must be >= 1
         "=error",                 // empty name
@@ -172,6 +174,29 @@ TEST(FailpointGateTest, SeededRateIsDeterministic)
         fired += f ? 1 : 0;
     EXPECT_GT(fired, 0);
     EXPECT_LT(fired, 64);
+}
+
+TEST(FailpointGateTest, SeededRateFiresItsShare)
+{
+    FailpointGuard guard;
+    activate("runner.task=error@0.3");
+    int fired = 0;
+    for (std::uint64_t s = 0; s < 500; ++s) {
+        const std::uint64_t seed = deriveStreamSeed(11, s);
+        bool a = failpointHit("runner.task", seed).fired();
+        EXPECT_EQ(a, failpointHit("runner.task", seed).fired());
+        fired += a ? 1 : 0;
+    }
+    // Roughly 30% of 500 — wide tolerance, this is a sanity check.
+    EXPECT_GT(fired, 100);
+    EXPECT_LT(fired, 200);
+
+    activate("runner.task=error@0");
+    for (std::uint64_t s = 0; s < 50; ++s)
+        EXPECT_FALSE(failpointHit("runner.task", s).fired());
+    activate("runner.task=error@1");
+    for (std::uint64_t s = 0; s < 50; ++s)
+        EXPECT_TRUE(failpointHit("runner.task", s).fired());
 }
 
 TEST(FailpointGateTest, CheckFailpointMapsErrorToDiagnostic)

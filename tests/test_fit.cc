@@ -176,6 +176,9 @@ TEST(FitDifferentialTest, RecoversSynthesizedTargetsWithinTolerance)
             << iddName(residual.measure) << " residual "
             << residual.residual();
     }
+    // The run report sums every generation's batch; its rate comes
+    // from those sums (the `run:` line would read 0.0 tasks/s without).
+    EXPECT_GT(result.report.tasksPerSecond, 0);
     // The calibrated description must reproduce the fitted currents.
     ASSERT_EQ(result.parameters.size(), result.factors.size());
     for (const FitResidual& residual : result.residuals) {
@@ -206,8 +209,9 @@ TEST(FitDifferentialTest, ObjectiveIsMonotonicallyNonIncreasingPerStart)
         EXPECT_LE(step.objective, prev.objective)
             << "start " << step.start << " generation "
             << step.generation;
-        if (step.accepted)
+        if (step.accepted) {
             EXPECT_LT(step.objective, prev.objective);
+        }
     }
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Batch-runner robustness tests: seed-stream derivation, fault
- * injection, checkpoint crash tolerance, resume round-trips, retry and
- * quarantine semantics, deadline watchdog, graceful draining and
- * parallel determinism. The suite carries the "robustness" ctest label
- * and CI also runs it under ThreadSanitizer (-DVDRAM_SANITIZE=thread).
+ * injection through the runner.task failpoint, checkpoint crash
+ * tolerance, resume round-trips, retry and quarantine semantics,
+ * deadline watchdog, graceful draining and parallel determinism. The
+ * suite carries the "robustness" ctest label and CI also runs it under
+ * ThreadSanitizer (-DVDRAM_SANITIZE=thread).
  */
 #include <gtest/gtest.h>
 
@@ -22,9 +23,9 @@
 #include "presets/presets.h"
 #include "runner/campaign.h"
 #include "runner/checkpoint.h"
-#include "runner/fault_injection.h"
 #include "runner/runner.h"
 #include "core/montecarlo.h"
+#include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/numerics.h"
 
@@ -85,57 +86,19 @@ TEST(SeedStreamTest, MonteCarloSampleSeedMatchesStream)
     EXPECT_NE(monteCarloSampleSeed(7, 3), monteCarloSampleSeed(7, 4));
 }
 
-// ---------------------------------------------------------------------
-// Fault plan
-// ---------------------------------------------------------------------
-
-TEST(FaultPlanTest, ParseSpecs)
-{
-    Result<FaultPlan> plain = parseFaultPlan("0.25");
-    ASSERT_TRUE(plain.ok());
-    EXPECT_DOUBLE_EQ(plain.value().rate, 0.25);
-    EXPECT_EQ(plain.value().kind, FaultKind::Error);
-
-    Result<FaultPlan> crash = parseFaultPlan("1:crash");
-    ASSERT_TRUE(crash.ok());
-    EXPECT_EQ(crash.value().kind, FaultKind::Crash);
-
-    Result<FaultPlan> timeout = parseFaultPlan("0.5:timeout");
-    ASSERT_TRUE(timeout.ok());
-    EXPECT_EQ(timeout.value().kind, FaultKind::Timeout);
-
-    EXPECT_FALSE(parseFaultPlan("1.5").ok());
-    EXPECT_FALSE(parseFaultPlan("-0.1").ok());
-    EXPECT_FALSE(parseFaultPlan("abc").ok());
-    EXPECT_FALSE(parseFaultPlan("0.5:explode").ok());
-    EXPECT_FALSE(parseFaultPlan("").ok());
-    EXPECT_EQ(parseFaultPlan("nan").ok(), false);
-}
-
-TEST(FaultPlanTest, DeterministicDecision)
-{
-    FaultPlan plan;
-    plan.rate = 0.3;
-    int faulted = 0;
-    for (std::uint64_t s = 0; s < 500; ++s) {
-        bool a = plan.shouldFault(deriveStreamSeed(11, s));
-        bool b = plan.shouldFault(deriveStreamSeed(11, s));
-        EXPECT_EQ(a, b);
-        faulted += a ? 1 : 0;
+/** Activates a VDRAM_FAILPOINTS spec for one test and clears it on
+ *  destruction, so no activation leaks into the next test. */
+struct ScopedFailpoints {
+    explicit ScopedFailpoints(const std::string& spec)
+    {
+        Result<std::vector<FailpointConfig>> configs =
+            parseFailpointSpec(spec);
+        EXPECT_TRUE(configs.ok());
+        if (configs.ok())
+            configureFailpoints(configs.value());
     }
-    // Roughly 30% of 500 — wide tolerance, this is a sanity check.
-    EXPECT_GT(faulted, 100);
-    EXPECT_LT(faulted, 200);
-
-    FaultPlan never;
-    never.rate = 0;
-    FaultPlan always;
-    always.rate = 1.0;
-    for (std::uint64_t s = 0; s < 50; ++s) {
-        EXPECT_FALSE(never.shouldFault(s));
-        EXPECT_TRUE(always.shouldFault(s));
-    }
-}
+    ~ScopedFailpoints() { clearFailpoints(); }
+};
 
 // ---------------------------------------------------------------------
 // Checkpoint records
@@ -460,8 +423,8 @@ TEST(BatchRunnerTest, StopFlagDrainsRemainingTasks)
 
 TEST(BatchRunnerTest, FaultInjectionDeterministicSubset)
 {
+    ScopedFailpoints faults("runner.task=error@0.4");
     RunnerOptions options;
-    options.faultPlan.rate = 0.4;
     options.maxRetries = 0;
     auto run_once = [&options]() {
         BatchRunner runner(
@@ -662,8 +625,8 @@ TEST(CampaignTest, MonteCarloRejectsBadSampleCount)
 TEST(CampaignTest, FaultInjectedCampaignStillAggregates)
 {
     DramDescription nominal = preset1GbDdr3(55e-9, 16, 1333);
+    ScopedFailpoints faults("runner.task=error@0.3");
     RunnerOptions options;
-    options.faultPlan.rate = 0.3;
     options.maxRetries = 0;
     DiagnosticEngine diags;
     Result<MonteCarloCampaign> r = runMonteCarloCampaign(
@@ -713,9 +676,9 @@ sidecarTaskCounters(const std::string& checkpoint_path)
 }
 
 /** Fails transiently on the first attempt of every third task: unlike
- *  FaultPlan (whose faults repeat on every attempt, so a failed record
- *  fails again when resume re-executes it), this converges — exactly
- *  what the cumulative-counter identity needs. */
+ *  a seeded runner.task failpoint (whose faults repeat on every attempt,
+ *  so a failed record fails again when resume re-executes it), this
+ *  converges — exactly what the cumulative-counter identity needs. */
 Result<std::string>
 firstAttemptFlakyTask(const TaskContext& context)
 {

@@ -22,12 +22,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/model.h"
+#include "core/sensitivity.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "dsl/writer.h"
 #include "presets/presets.h"
 #include "util/failpoint.h"
+#include "util/json.h"
 #include "util/strings.h"
 
 namespace vdram {
@@ -236,6 +239,48 @@ TEST(ServeDaemonTest, LoadEvaluatePerturbFlowAndCacheHit)
     EXPECT_TRUE(stats.drained);
     EXPECT_EQ(stats.requestsAccepted,
               stats.responsesWritten + stats.responsesFailed);
+}
+
+TEST(ServeDaemonTest, CacheHitLoadFollowsGeometryPerturbations)
+{
+    DaemonFixture daemon(baseOptions("geometry"));
+    ASSERT_TRUE(daemon.ready());
+
+    // The same session script on two connections: the first load builds
+    // the model (cache miss), the second is a cache hit.
+    const std::string script =
+        "{\"id\":1,\"op\":\"load\",\"preset\":\"ddr3_1g_55\"}\n"
+        "{\"id\":2,\"op\":\"perturb\",\"param\":\"Bitline pitch\","
+        "\"factor\":1.25}\n"
+        "{\"id\":3,\"op\":\"idd\",\"measure\":\"idd0\"}\n";
+    Result<std::string> miss = daemon.send(script);
+    Result<std::string> hit = daemon.send(script);
+    ASSERT_TRUE(miss.ok()) << miss.error().toString();
+    ASSERT_TRUE(hit.ok()) << hit.error().toString();
+    std::vector<std::string> miss_replies = lines(miss.value());
+    std::vector<std::string> hit_replies = lines(hit.value());
+    ASSERT_EQ(miss_replies.size(), 3u);
+    ASSERT_EQ(hit_replies.size(), 3u);
+    EXPECT_NE(miss_replies[0].find("\"cached\":false"), std::string::npos);
+    EXPECT_NE(hit_replies[0].find("\"cached\":true"), std::string::npos);
+
+    // Both answers equal a from-scratch model of the perturbed part.
+    DramDescription perturbed = preset1GbDdr3(55e-9, 16, 1333);
+    for (const SweepParam& param : sweepParameters(SweepMode::Detailed)) {
+        if (param.name == "Bitline pitch")
+            param.apply(perturbed, 1.25);
+    }
+    Result<DramPowerModel> model = DramPowerModel::create(perturbed);
+    ASSERT_TRUE(model.ok()) << model.error().toString();
+    JsonWriter expected;
+    expected.beginObject();
+    expected.key("id").value(3);
+    expected.key("ok").value(true);
+    expected.key("measure").value("IDD0");
+    expected.key("amps").value(model.value().idd(IddMeasure::Idd0));
+    expected.endObject();
+    EXPECT_EQ(miss_replies[2], expected.str());
+    EXPECT_EQ(hit_replies[2], miss_replies[2]);
 }
 
 TEST(ServeDaemonTest, MalformedAndInvalidRequestsAreQuarantined)

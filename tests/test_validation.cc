@@ -26,6 +26,15 @@ struct Corruption {
     const char* expected_fragment;
 };
 
+/** gtest prints a parameter into the listed test name; without this it
+ *  dumps the struct's raw bytes, pointers included, so the name would
+ *  change from build to build. */
+void
+PrintTo(const Corruption& corruption, std::ostream* os)
+{
+    *os << corruption.name;
+}
+
 class ValidationTest : public ::testing::TestWithParam<Corruption> {};
 
 TEST_P(ValidationTest, CorruptionIsCaught)

@@ -1,26 +1,21 @@
 /**
  * @file
- * vdram_cli — command-line front end to the model.
- *
- *   vdram_cli list
- *   vdram_cli describe   <target>
- *   vdram_cli idd        <target>
- *   vdram_cli emit       <target>
- *   vdram_cli pattern    <target> act nop rd ...
- *   vdram_cli sensitivity <target> [--detailed]
- *   vdram_cli montecarlo <target> [--samples=N] [--seed=N] [--json]
- *   vdram_cli schemes    <target>
- *   vdram_cli timing     <target>
- *   vdram_cli trends     [--csv]
- *   vdram_cli --lint [--diag-format=text|json] <target>
+ * vdram_cli — command-line front end to the model; `vdram_cli --help`
+ * lists every command and flag.
  *
  * <target> is either a path to a .dram description file or
  * "preset:<name>" (see `vdram_cli list`).
  *
  * Campaign commands (montecarlo, sensitivity, sweep, trends) route
  * through the resilient batch runner (src/runner/): --jobs=N
- * parallelism, --task-timeout, --checkpoint/--resume, --inject-fault
- * and graceful SIGINT draining.
+ * parallelism, --task-timeout, --checkpoint/--resume and graceful
+ * SIGINT draining; VDRAM_FAILPOINTS=runner.task=ACTION@RATE injects
+ * task faults.
+ *
+ * Every flag is one row of kFlags: its name, the commands that own it,
+ * the kind and range of its value, where it is stored, and its --help
+ * line. One parser reads that table for every command, and --help is
+ * printed from it and from the command table, kCommands.
  *
  * Exit codes: 0 success, 1 runtime error, 2 usage error, 3 syntax
  * (parse) error in the description, 4 validation error, 5 interrupted
@@ -35,7 +30,9 @@
 #include <cstring>
 
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,18 +123,60 @@ struct DiagOptions {
     std::string format = "text";
 };
 
-/** Batch-runner options parsed from the global campaign flags. */
-struct CampaignFlags {
+/**
+ * Everything the command line sets: each flag-table row stores its value
+ * in one of these fields. The library option structs keep their own
+ * defaults.
+ */
+struct CliArgs {
+    /** The arguments that are not flags; [0] is the command word. */
+    std::vector<std::string> words;
+    DiagOptions diag;
+    /** Observability outputs, written by main() after the command,
+     *  whatever its exit path. */
+    std::string metricsOut;
+    std::string traceOut;
     RunnerOptions runner;
-    /** True when any runner flag was given explicitly (controls
-     *  whether the run report is printed for quiet runs). */
-    bool explicitFlags = false;
-};
+    /** True once any campaign flag is given: the run report then prints
+     *  even when every task succeeded at the first try. */
+    bool campaignFlags = false;
 
-/** Observability outputs (--metrics-out / --trace-out); written by
- *  main() after command dispatch, whatever the exit path. */
-std::string g_metrics_out;
-std::string g_trace_out;
+    bool detailed = false;       ///< sensitivity
+    bool csv = false;            ///< trends
+    bool closed = false;         ///< workload
+    bool json = false;           ///< montecarlo, fit
+    bool listParameters = false; ///< fit
+    bool matrix = false;         ///< sched
+    bool check = false;          ///< trace
+    bool serial = false;         ///< trace
+    /** Shared by commands whose defaults and ranges differ; each
+     *  command applies (and, for sched, narrows) them itself. */
+    std::optional<long long> seed;   ///< montecarlo, fit, sched
+    std::optional<long long> window; ///< sched, trace
+
+    long long samples = 200; ///< montecarlo
+
+    FitOptions fit;
+    std::string targets;
+    std::string datasheet;
+    std::string report;
+    double rate = 0;
+    long long width = 0;
+    double edge = 0.5;
+
+    WorkloadParams workload;
+    WorkloadKind workloadKind = WorkloadKind::Local;
+    MapScheme map = MapScheme::RowBankCol;
+    SchedulerOptions sched{.policy = SchedPolicy::FrFcfs};
+
+    std::string format = "text"; ///< trace
+
+    /** serve; also the socket/port of fleet and serve-send and the
+     *  worker options fleet hands to its workers. */
+    ServeOptions serve;
+    FleetOptions fleet;
+    ServeSendOptions send;
+};
 
 /** --ready-marker: announce on stderr when the SIGINT drain handler is
  *  armed, so scripted tests know when a signal drains instead of
@@ -169,17 +208,6 @@ resolveSelfExe()
     return g_argv0;
 }
 
-/** Daemon mode writes to sockets whose peer may vanish any time; a
- *  dying client must surface as EPIPE on that one session's write
- *  (handled, session closes), never as process-killing SIGPIPE. */
-void
-ignoreSigpipe()
-{
-#if !defined(_WIN32)
-    std::signal(SIGPIPE, SIG_IGN);
-#endif
-}
-
 extern "C" void
 onSigint(int)
 {
@@ -196,158 +224,47 @@ onSigterm(int)
     std::signal(SIGTERM, SIG_DFL);
 }
 
-/** Install the graceful-drain handler (campaign commands only). */
+/** Print the --ready-marker line, once per process. */
 void
-installDrainHandler(RunnerOptions& options)
+announceReady()
 {
-    options.stopFlag = &g_stop_requested;
-    std::signal(SIGINT, onSigint);
     if (g_ready_marker) {
         std::fprintf(stderr, "%s\n", kReadyMarker);
         std::fflush(stderr);
-        g_ready_marker = false; // once per process
+        g_ready_marker = false;
     }
 }
 
+/** Install the graceful-drain handler (campaign commands only). A
+ *  command that can resume passes the checkpoint that --resume without
+ *  --checkpoint resumes from. */
 void
-printUsage(std::FILE* out)
+installDrainHandler(RunnerOptions& options,
+                    const char* defaultCheckpoint = nullptr)
 {
-    std::fprintf(
-        out,
-        "usage: vdram_cli [flags] <command> [args]\n"
-        "  list                      list built-in presets\n"
-        "  describe <target>         summary, IDD table, breakdown, die\n"
-        "  idd <target>              IDD table only\n"
-        "  json <target>             full evaluation as JSON\n"
-        "  emit <target>             emit the description language text\n"
-        "  pattern <target> OP...    evaluate a command loop\n"
-        "  sensitivity <target> [--detailed]\n"
-        "  montecarlo <target> [--samples=N] [--seed=N] [--json]\n"
-        "                            vendor-variation IDD distributions\n"
-        "  sweep <target> <parameter> f1 [f2 ...]\n"
-        "                            what-if factors on one parameter\n"
-        "  fit <target> (--targets=FILE | --datasheet=ddr2|ddr3\n"
-        "               --rate=MBPS --width=BITS [--edge=F])\n"
-        "      [--starts=N] [--max-generations=N] [--step=F]\n"
-        "      [--shrink=F] [--min-step=F] [--spread=F] [--seed=N]\n"
-        "      [--report=FILE] [--json] [--list-parameters]\n"
-        "                            calibrate the model to IDD targets\n"
-        "                            (docs/calibration.md): calibrated\n"
-        "                            description DSL on stdout, residual\n"
-        "                            report on stderr; --report writes\n"
-        "                            the JSON fit report, --json prints\n"
-        "                            it to stdout instead of the DSL;\n"
-        "                            exit 1 when outside tolerance\n"
-        "  schemes <target>          Section V power-reduction study\n"
-        "  timing <target>           RC timing estimate\n"
-        "  trends [--csv]            generation ladder trends\n"
-        "  workload <target> <trace> [--closed]\n"
-        "                            schedule an access trace and "
-        "evaluate it\n"
-        "  gen-trace <target> <workload> <count>\n"
-        "                            emit a synthetic access trace to\n"
-        "                            stdout (workloads: random, stream,\n"
-        "                            local, zipf, chase, mixed)\n"
-        "  sched <target> [--workload=K] [--count=N] [--seed=N]\n"
-        "        [--policy=inorder|frfcfs] [--page=open|closed]\n"
-        "        [--map=row-bank-col|bank-row-col|xor-bank-row-col]\n"
-        "        [--window=N] [--write-frac=F] [--locality=F]\n"
-        "        [--zipf=F] [--run-length=N] [--jump=F] [--matrix]\n"
-        "                            schedule a synthetic workload and\n"
-        "                            emit the timed command trace to\n"
-        "                            stdout (stats on stderr) — pipe\n"
-        "                            into `vdram trace --check`;\n"
-        "                            --matrix runs the full workload x\n"
-        "                            mapping x policy campaign (exit 4\n"
-        "                            on any protocol violation)\n"
-        "  replay <target> <cmdtrace>\n"
-        "                            evaluate a timed command trace\n"
-        "                            (dense; capped — see trace)\n"
-        "  serve [--socket=PATH|--port=N]\n"
-        "                            long-running JSON evaluation daemon\n"
-        "                            (one JSON request per line; see\n"
-        "                            docs/serve.md); SIGINT/SIGTERM\n"
-        "                            drains (exit 5); --jobs=N sets the\n"
-        "                            worker threads; also --queue=N,\n"
-        "                            --deadline=S, --max-deadline=S,\n"
-        "                            --idle-timeout=S, --cache=N\n"
-        "  serve-send [--socket=PATH|--port=N] [--retries=N]\n"
-        "             [--retry-base-ms=MS]\n"
-        "                            send stdin lines to a serve daemon\n"
-        "                            and print the responses; retries\n"
-        "                            refused connects and shed\n"
-        "                            (E-SERVE-OVERLOAD) lines with\n"
-        "                            jittered exponential backoff\n"
-        "                            (default 3 retries, 50 ms base)\n"
-        "  fleet [--socket=PATH|--port=N] [--workers=N]\n"
-        "        [--worker-dir=DIR] [--heartbeat=S]\n"
-        "        [--heartbeat-deadline=S] [--restart-budget=N]\n"
-        "        [--restart-base-ms=MS] [--drain-timeout=S]\n"
-        "        [--failover-wait=S]\n"
-        "                            supervised multi-process serve\n"
-        "                            fleet: N workers on private\n"
-        "                            sockets behind one front socket;\n"
-        "                            crashed workers restart with\n"
-        "                            backoff, sessions fail over,\n"
-        "                            SIGINT/SIGTERM drains the fleet\n"
-        "                            (exit 5); worker passthrough:\n"
-        "                            --jobs, --queue, --deadline,\n"
-        "                            --max-deadline, --idle-timeout,\n"
-        "                            --cache (see docs/serve.md)\n"
-        "  trace <target> <cmdtrace> [--window=N] "
-        "[--format=text|csv|json]\n"
-        "                            [--check] [--serial]\n"
-        "                            stream a timed command trace in\n"
-        "                            bounded memory; --jobs=N counts\n"
-        "                            slices in parallel; --window=N\n"
-        "                            adds a per-window power timeline;\n"
-        "                            --check runs the protocol check\n"
-        "                            (serial)\n"
-        "  help                      print this text (also --help)\n"
-        "flags:\n"
-        "  --lint                    parse + validate the target, report\n"
-        "                            every diagnostic, run no command\n"
-        "  --diag-format=text|json   diagnostic rendering (default text)\n"
-        "  --metrics-out FILE        write a metrics snapshot (JSON) on\n"
-        "                            exit; also enables the counters\n"
-        "  --trace-out FILE          write a chrome://tracing JSON file\n"
-        "                            on exit\n"
-        "  --ready-marker            print VDRAM-READY to stderr once a\n"
-        "                            campaign's SIGINT drain handler is\n"
-        "                            armed (test hook)\n"
-        "campaign flags (montecarlo, sensitivity, sweep, trends,\n"
-        "                trace, sched --matrix, fit):\n"
-        "  --jobs=N                  worker threads (default 1; 0 = all "
-        "cores)\n"
-        "  --task-timeout=SECONDS    per-variant deadline (watchdog)\n"
-        "  --checkpoint=PATH         JSONL checkpoint file\n"
-        "  --resume                  skip variants completed in the\n"
-        "                            checkpoint (default path if none "
-        "given)\n"
-        "  --inject-fault=R[:KIND]   fault a fraction R of variants;\n"
-        "                            KIND = error|timeout|crash (test "
-        "hook)\n"
-        "                            DEPRECATED alias for the failpoint\n"
-        "                            framework; prefer VDRAM_FAILPOINTS=\n"
-        "                            runner.task=ACTION@R (see "
-        "docs/runner.md)\n"
-        "env:\n"
-        "  VDRAM_FAILPOINTS=name=action[:arg][@rate][,...]\n"
-        "                            deterministic fault injection at\n"
-        "                            named sites (test/chaos hook)\n"
-        "SIGINT drains a campaign: in-flight variants finish, the\n"
-        "checkpoint is flushed, partial results are reported (exit 5).\n"
-        "<target> = file.dram | preset:<name>\n"
-        "exit codes: 0 ok, 1 runtime, 2 usage, 3 syntax error,\n"
-        "4 validation error, 5 interrupted (partial results),\n"
-        "6 unreadable input/checkpoint file\n");
+    if (defaultCheckpoint && options.resume &&
+        options.checkpointPath.empty()) {
+        options.checkpointPath = defaultCheckpoint;
+        std::fprintf(stderr, "using default checkpoint '%s'\n",
+                     defaultCheckpoint);
+    }
+    options.stopFlag = &g_stop_requested;
+    std::signal(SIGINT, onSigint);
+    announceReady();
 }
 
-int
-usage()
+/** serve and fleet drain on SIGINT and SIGTERM. They write to sockets
+ *  whose peer may vanish any time; a dying client must surface as EPIPE
+ *  on that one session's write (handled, session closes), never as
+ *  process-killing SIGPIPE. */
+void
+installDaemonHandlers()
 {
-    printUsage(stderr);
-    return kExitUsage;
+#if !defined(_WIN32)
+    std::signal(SIGPIPE, SIG_IGN);
+#endif
+    std::signal(SIGINT, onSigint);
+    std::signal(SIGTERM, onSigterm);
 }
 
 /**
@@ -424,7 +341,7 @@ loadTarget(const std::string& target, const DiagOptions& opts,
 }
 
 int
-cmdList()
+cmdList(CliArgs&, const DramDescription&)
 {
     Table table({"preset", "device"});
     for (const NamedPreset& preset : namedPresets())
@@ -434,7 +351,7 @@ cmdList()
 }
 
 int
-cmdDescribe(const DramDescription& desc)
+cmdDescribe(CliArgs&, const DramDescription& desc)
 {
     DramPowerModel model(desc);
     std::printf("%s\n", renderSummary(model).c_str());
@@ -445,7 +362,7 @@ cmdDescribe(const DramDescription& desc)
 }
 
 int
-cmdIdd(const DramDescription& desc)
+cmdIdd(CliArgs&, const DramDescription& desc)
 {
     DramPowerModel model(desc);
     std::printf("%s", renderIddTable(model).c_str());
@@ -453,18 +370,26 @@ cmdIdd(const DramDescription& desc)
 }
 
 int
-cmdEmit(const DramDescription& desc)
+cmdJson(CliArgs&, const DramDescription& desc)
+{
+    DramPowerModel model(desc);
+    std::printf("%s\n", modelToJson(model).c_str());
+    return 0;
+}
+
+int
+cmdEmit(CliArgs&, const DramDescription& desc)
 {
     std::printf("%s", writeDescription(desc).c_str());
     return 0;
 }
 
 int
-cmdPattern(const DramDescription& desc, int argc, char** argv)
+cmdPattern(CliArgs& a, const DramDescription& desc)
 {
     Pattern pattern;
-    for (int i = 0; i < argc; ++i) {
-        std::string t = toLower(argv[i]);
+    for (size_t i = 2; i < a.words.size(); ++i) {
+        std::string t = toLower(a.words[i]);
         if (t == "act") pattern.loop.push_back(Op::Act);
         else if (t == "pre") pattern.loop.push_back(Op::Pre);
         else if (t == "rd" || t == "read") pattern.loop.push_back(Op::Rd);
@@ -475,7 +400,7 @@ cmdPattern(const DramDescription& desc, int argc, char** argv)
         else if (t == "pdn") pattern.loop.push_back(Op::Pdn);
         else if (t == "srf") pattern.loop.push_back(Op::Srf);
         else {
-            std::fprintf(stderr, "unknown op '%s'\n", argv[i]);
+            std::fprintf(stderr, "unknown op '%s'\n", a.words[i].c_str());
             return 2;
         }
     }
@@ -505,38 +430,14 @@ cmdPattern(const DramDescription& desc, int argc, char** argv)
     return 0;
 }
 
-/**
- * Parse an integer flag value in [min, max]; false on any syntax or
- * range defect (the caller reports the usage error).
- */
+/** Parse all of @p text as a base-10 integer; out-of-range text
+ *  saturates, as strtoll does. */
 bool
-parseCount(const std::string& text, long long min, long long max,
-           long long& out)
+parseInteger(const std::string& text, long long& out)
 {
-    if (text.empty())
-        return false;
     char* end = nullptr;
-    long long value = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || value < min || value > max)
-        return false;
-    out = value;
-    return true;
-}
-
-/** Parse a floating-point flag value in [min, max]; false on any
- *  syntax or range defect (the caller reports the usage error). */
-bool
-parseReal(const std::string& text, double min, double max, double& out)
-{
-    if (text.empty())
-        return false;
-    char* end = nullptr;
-    double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(value >= min) ||
-        !(value <= max))
-        return false;
-    out = value;
-    return true;
+    out = std::strtoll(text.c_str(), &end, 10);
+    return !text.empty() && end == text.c_str() + text.size();
 }
 
 /** The report is only noise when every task just succeeded first try. */
@@ -571,15 +472,14 @@ exitCodeFor(const RunReport& report)
 }
 
 int
-cmdSensitivity(const DramDescription& desc, CampaignFlags flags,
-               bool detailed)
+cmdSensitivity(CliArgs& a, const DramDescription& desc)
 {
-    installDrainHandler(flags.runner);
+    installDrainHandler(a.runner);
     DiagnosticEngine diags;
     Result<SensitivityCampaign> campaign = runSensitivityCampaign(
         desc, 0.20,
-        detailed ? SweepMode::Detailed : SweepMode::Grouped,
-        flags.runner, &diags);
+        a.detailed ? SweepMode::Detailed : SweepMode::Grouped,
+        a.runner, &diags);
     if (!campaign.ok()) {
         std::fprintf(stderr, "%s\n",
                      campaign.error().toString().c_str());
@@ -592,58 +492,22 @@ cmdSensitivity(const DramDescription& desc, CampaignFlags flags,
                       strformat("%.1f%%", r.spread() * 100)});
     }
     std::printf("%s", table.render().c_str());
-    printRunReport(campaign.value().report, diags, flags.explicitFlags);
+    printRunReport(campaign.value().report, diags, a.campaignFlags);
     return exitCodeFor(campaign.value().report);
 }
 
 int
-cmdMonteCarlo(const DramDescription& desc, CampaignFlags flags,
-              int argc, char** argv)
+cmdMonteCarlo(CliArgs& a, const DramDescription& desc)
 {
-    long long samples = 200;
-    long long seed = 1;
-    bool json_out = false;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--samples=")) {
-            if (!parseCount(arg.substr(10), 1, 10'000'000, samples)) {
-                std::fprintf(stderr,
-                             "--samples must be an integer in "
-                             "[1, 10000000], got '%s'\n",
-                             arg.substr(10).c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--seed=")) {
-            if (!parseCount(arg.substr(7), 0, INT64_MAX, seed)) {
-                std::fprintf(stderr,
-                             "--seed must be a non-negative integer, "
-                             "got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-        } else if (arg == "--json") {
-            json_out = true;
-        } else {
-            std::fprintf(stderr, "unknown montecarlo argument '%s'\n",
-                         arg.c_str());
-            return kExitUsage;
-        }
-    }
-    // --resume without --checkpoint still needs a file to resume from.
-    if (flags.runner.resume && flags.runner.checkpointPath.empty()) {
-        flags.runner.checkpointPath = "vdram_montecarlo.jsonl";
-        std::fprintf(stderr, "using default checkpoint '%s'\n",
-                     flags.runner.checkpointPath.c_str());
-    }
-    installDrainHandler(flags.runner);
+    installDrainHandler(a.runner, "vdram_montecarlo.jsonl");
 
     const std::vector<IddMeasure> measures = {
         IddMeasure::Idd0, IddMeasure::Idd2N, IddMeasure::Idd4R,
         IddMeasure::Idd4W, IddMeasure::Idd5};
     DiagnosticEngine diags;
     Result<MonteCarloCampaign> campaign = runMonteCarloCampaign(
-        desc, measures, static_cast<int>(samples), {},
-        static_cast<std::uint64_t>(seed), flags.runner, &diags);
+        desc, measures, static_cast<int>(a.samples), {},
+        static_cast<std::uint64_t>(a.seed.value_or(1)), a.runner, &diags);
     if (!campaign.ok()) {
         std::fprintf(stderr, "%s\n",
                      campaign.error().toString().c_str());
@@ -651,10 +515,10 @@ cmdMonteCarlo(const DramDescription& desc, CampaignFlags flags,
     }
     const MonteCarloCampaign& mc = campaign.value();
 
-    if (json_out) {
+    if (a.json) {
         JsonWriter json;
         json.beginObject();
-        json.key("samples").value(samples);
+        json.key("samples").value(a.samples);
         json.key("distributions").beginArray();
         for (const IddDistribution& d : mc.distributions) {
             json.beginObject();
@@ -705,148 +569,32 @@ cmdMonteCarlo(const DramDescription& desc, CampaignFlags flags,
 }
 
 int
-cmdFit(const DramDescription& desc, CampaignFlags flags, int argc,
-       char** argv)
+cmdFit(CliArgs& a, const DramDescription& desc)
 {
-    std::string targetsPath;
-    std::string datasheet;
-    std::string reportPath;
-    double rate = 0;
-    long long width = 0;
-    double edge = 0.5;
-    bool json_out = false;
-    FitOptions fit;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        long long count = 0;
-        double real = 0;
-        if (startsWith(arg, "--targets=")) {
-            targetsPath = arg.substr(10);
-        } else if (startsWith(arg, "--datasheet=")) {
-            datasheet = arg.substr(12);
-            if (datasheet != "ddr2" && datasheet != "ddr3") {
-                std::fprintf(stderr,
-                             "--datasheet must be ddr2 or ddr3, got "
-                             "'%s'\n",
-                             datasheet.c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--rate=")) {
-            if (!parseReal(arg.substr(7), 1, 1e6, rate)) {
-                std::fprintf(stderr, "--rate must be Mb/s in [1, 1e6], "
-                                     "got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--width=")) {
-            if (!parseCount(arg.substr(8), 1, 128, width)) {
-                std::fprintf(stderr, "--width must be an integer in "
-                                     "[1, 128], got '%s'\n",
-                             arg.substr(8).c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--edge=")) {
-            if (!parseReal(arg.substr(7), 0, 1, edge)) {
-                std::fprintf(stderr, "--edge must be in [0, 1], got "
-                                     "'%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--starts=")) {
-            if (!parseCount(arg.substr(9), 1, 64, count)) {
-                std::fprintf(stderr, "--starts must be an integer in "
-                                     "[1, 64], got '%s'\n",
-                             arg.substr(9).c_str());
-                return kExitUsage;
-            }
-            fit.starts = static_cast<int>(count);
-        } else if (startsWith(arg, "--max-generations=")) {
-            if (!parseCount(arg.substr(18), 1, 100000, count)) {
-                std::fprintf(stderr,
-                             "--max-generations must be an integer in "
-                             "[1, 100000], got '%s'\n",
-                             arg.substr(18).c_str());
-                return kExitUsage;
-            }
-            fit.maxGenerations = static_cast<int>(count);
-        } else if (startsWith(arg, "--step=")) {
-            if (!parseReal(arg.substr(7), 1e-9, 10, real)) {
-                std::fprintf(stderr, "--step must be in (0, 10], got "
-                                     "'%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-            fit.initialStep = real;
-        } else if (startsWith(arg, "--shrink=")) {
-            if (!parseReal(arg.substr(9), 1e-9, 0.999, real)) {
-                std::fprintf(stderr, "--shrink must be in (0, 1), got "
-                                     "'%s'\n",
-                             arg.substr(9).c_str());
-                return kExitUsage;
-            }
-            fit.stepShrink = real;
-        } else if (startsWith(arg, "--min-step=")) {
-            if (!parseReal(arg.substr(11), 1e-12, 1, real)) {
-                std::fprintf(stderr, "--min-step must be in (0, 1], "
-                                     "got '%s'\n",
-                             arg.substr(11).c_str());
-                return kExitUsage;
-            }
-            fit.minStep = real;
-        } else if (startsWith(arg, "--spread=")) {
-            if (!parseReal(arg.substr(9), 0, 10, real)) {
-                std::fprintf(stderr, "--spread must be in [0, 10], got "
-                                     "'%s'\n",
-                             arg.substr(9).c_str());
-                return kExitUsage;
-            }
-            fit.restartSpread = real;
-        } else if (startsWith(arg, "--seed=")) {
-            if (!parseCount(arg.substr(7), 0, INT64_MAX, count)) {
-                std::fprintf(stderr,
-                             "--seed must be a non-negative integer, "
-                             "got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-            fit.seed = static_cast<std::uint64_t>(count);
-        } else if (startsWith(arg, "--report=")) {
-            reportPath = arg.substr(9);
-        } else if (arg == "--json") {
-            json_out = true;
-        } else if (arg == "--list-parameters") {
-            for (const std::string& name : fitParameterNames())
-                std::printf("%s\n", name.c_str());
-            return kExitOk;
-        } else {
-            std::fprintf(stderr, "unknown fit argument '%s'\n",
-                         arg.c_str());
-            return kExitUsage;
-        }
-    }
-
-    DiagnosticEngine diags;
-    Result<FitTargetSpec> spec = Error{"", 0, 0, "", ""};
-    if (!targetsPath.empty()) {
-        spec = loadFitTargetSpec(targetsPath, diags);
-    } else if (!datasheet.empty()) {
-        if (!(rate > 0) || width <= 0) {
-            std::fprintf(stderr, "--datasheet needs --rate=MBPS and "
-                                 "--width=BITS\n");
-            return kExitUsage;
-        }
-        spec = specFromDatasheet(datasheet == "ddr2"
-                                     ? ddr2_1gb_datasheet()
-                                     : ddr3_1gb_datasheet(),
-                                 rate, static_cast<int>(width), edge,
-                                 strformat("%s-%.0f-x%lld",
-                                           datasheet.c_str(), rate,
-                                           width));
-    } else {
+    if (a.targets.empty() && a.datasheet.empty()) {
         std::fprintf(stderr, "fit needs --targets=FILE or "
                              "--datasheet=ddr2|ddr3 (see --help)\n");
         return kExitUsage;
     }
+    if (a.targets.empty() && (!(a.rate > 0) || a.width <= 0)) {
+        std::fprintf(stderr, "--datasheet needs --rate=MBPS and "
+                             "--width=BITS\n");
+        return kExitUsage;
+    }
+    if (a.seed)
+        a.fit.seed = static_cast<std::uint64_t>(*a.seed);
+
+    DiagnosticEngine diags;
+    Result<FitTargetSpec> spec =
+        !a.targets.empty()
+            ? loadFitTargetSpec(a.targets, diags)
+            : specFromDatasheet(a.datasheet == "ddr2"
+                                    ? ddr2_1gb_datasheet()
+                                    : ddr3_1gb_datasheet(),
+                                a.rate, static_cast<int>(a.width), a.edge,
+                                strformat("%s-%.0f-x%lld",
+                                          a.datasheet.c_str(), a.rate,
+                                          a.width));
     if (!spec.ok()) {
         if (!diags.diagnostics().empty())
             std::fprintf(stderr, "%s", diags.renderText().c_str());
@@ -856,16 +604,10 @@ cmdFit(const DramDescription& desc, CampaignFlags flags, int argc,
         return exitCodeForError(spec.error());
     }
 
-    // --resume without --checkpoint still needs a file to resume from.
-    if (flags.runner.resume && flags.runner.checkpointPath.empty()) {
-        flags.runner.checkpointPath = "vdram_fit.jsonl";
-        std::fprintf(stderr, "using default checkpoint '%s'\n",
-                     flags.runner.checkpointPath.c_str());
-    }
-    installDrainHandler(flags.runner);
+    installDrainHandler(a.runner, "vdram_fit.jsonl");
 
     Result<FitResult> fitted =
-        runFitCampaign(desc, spec.value(), fit, flags.runner, &diags);
+        runFitCampaign(desc, spec.value(), a.fit, a.runner, &diags);
     if (!fitted.ok()) {
         if (!diags.diagnostics().empty())
             std::fprintf(stderr, "%s", diags.renderText().c_str());
@@ -876,25 +618,25 @@ cmdFit(const DramDescription& desc, CampaignFlags flags, int argc,
 
     const std::string reportJson =
         renderFitReportJson(result, spec.value());
-    if (!reportPath.empty()) {
-        std::ofstream out(reportPath, std::ios::trunc);
+    if (!a.report.empty()) {
+        std::ofstream out(a.report, std::ios::trunc);
         if (out)
             out << reportJson << "\n";
         if (!out) {
             std::fprintf(stderr, "cannot write fit report to %s\n",
-                         reportPath.c_str());
+                         a.report.c_str());
             return kExitIo;
         }
     }
     std::fprintf(stderr, "%s",
                  renderFitReportText(result, spec.value()).c_str());
-    printRunReport(result.report, diags, flags.explicitFlags);
+    printRunReport(result.report, diags, a.campaignFlags);
     if (result.interrupted) {
         std::fprintf(stderr, "fit interrupted; continue with --resume "
                              "--checkpoint=PATH\n");
         return kExitPartial;
     }
-    if (json_out)
+    if (a.json)
         std::printf("%s\n", reportJson.c_str());
     else
         std::printf("%s", writeDescription(result.calibrated).c_str());
@@ -902,9 +644,9 @@ cmdFit(const DramDescription& desc, CampaignFlags flags, int argc,
 }
 
 int
-cmdSweep(const DramDescription& desc, CampaignFlags flags,
-         const std::string& param_name, int argc, char** argv)
+cmdSweep(CliArgs& a, const DramDescription& desc)
 {
+    const std::string& param_name = a.words[2];
     // Search the grouped sweep list first, then the detailed one.
     const SweepParam* param = nullptr;
     static std::vector<SweepParam> all;
@@ -928,19 +670,20 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
 
     std::vector<double> factors;
     std::vector<TaskSpec> manifest;
-    for (int i = 0; i < argc; ++i) {
-        double factor = std::atof(argv[i]);
+    for (size_t i = 3; i < a.words.size(); ++i) {
+        const char* text = a.words[i].c_str();
+        double factor = std::atof(text);
         if (factor <= 0) {
-            std::fprintf(stderr, "bad factor '%s'\n", argv[i]);
+            std::fprintf(stderr, "bad factor '%s'\n", text);
             return kExitUsage;
         }
         factors.push_back(factor);
         manifest.push_back(
-            TaskSpec{strformat("factor-%s", argv[i]),
+            TaskSpec{strformat("factor-%s", text),
                      deriveStreamSeed(0x53EE9, factors.size() - 1)});
     }
 
-    installDrainHandler(flags.runner);
+    installDrainHandler(a.runner);
     DiagnosticEngine diags;
 
     // Delta-evaluation fast path: one evaluator per worker slot, lazily
@@ -949,7 +692,7 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
     FastPathMode fast_path = fastPathMode();
     std::vector<std::unique_ptr<VariantEvaluator>> evaluators(
         static_cast<size_t>(
-            std::max(1, effectiveJobCount(flags.runner.jobs))));
+            std::max(1, effectiveJobCount(a.runner.jobs))));
     if (fast_path != FastPathMode::Off &&
         !DramPowerModel::create(desc).ok()) {
         fast_path = FastPathMode::Off;
@@ -1015,7 +758,7 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
             }
             return row;
         },
-        flags.runner);
+        a.runner);
     Result<RunReport> report = runner.run(&diags);
     if (!report.ok()) {
         std::fprintf(stderr, "%s\n", report.error().toString().c_str());
@@ -1044,12 +787,12 @@ cmdSweep(const DramDescription& desc, CampaignFlags flags,
     }
     std::printf("sweep of '%s':\n%s", param->name.c_str(),
                 table.render().c_str());
-    printRunReport(report.value(), diags, flags.explicitFlags);
+    printRunReport(report.value(), diags, a.campaignFlags);
     return exitCodeFor(report.value());
 }
 
 int
-cmdSchemes(const DramDescription& desc)
+cmdSchemes(CliArgs&, const DramDescription& desc)
 {
     SchemeEvaluator evaluator(desc, 64);
     Table table({"scheme", "energy/access", "savings", "caveat"});
@@ -1064,7 +807,7 @@ cmdSchemes(const DramDescription& desc)
 }
 
 int
-cmdTiming(const DramDescription& desc)
+cmdTiming(CliArgs&, const DramDescription& desc)
 {
     TimingEstimate t = estimateTiming(desc);
     Table table({"quantity", "estimate"});
@@ -1095,9 +838,9 @@ cmdTiming(const DramDescription& desc)
 }
 
 int
-cmdWorkload(const DramDescription& desc, const std::string& trace_path,
-            bool closed_page)
+cmdWorkload(CliArgs& a, const DramDescription& desc)
 {
+    const std::string& trace_path = a.words[2];
     auto trace = loadTraceFile(trace_path);
     if (!trace.ok()) {
         std::fprintf(stderr, "%s\n", trace.error().toString().c_str());
@@ -1110,7 +853,7 @@ cmdWorkload(const DramDescription& desc, const std::string& trace_path,
         return exitCodeForError(addresses.error());
     }
     CommandScheduler scheduler(desc.spec, desc.timing,
-                               closed_page ? PagePolicy::ClosedPage
+                               a.closed ? PagePolicy::ClosedPage
                                            : PagePolicy::OpenPage);
     Result<ScheduledStream> scheduled = scheduler.schedule(trace.value());
     if (!scheduled.ok()) {
@@ -1135,18 +878,18 @@ cmdWorkload(const DramDescription& desc, const std::string& trace_path,
 }
 
 int
-cmdGenTrace(const DramDescription& desc, const std::string& kind,
-            long long count)
+cmdGenTrace(CliArgs& a, const DramDescription& desc)
 {
-    if (count < 1 || count > 100'000'000) {
+    const std::string count = a.words.size() > 3 ? a.words[3] : "1000";
+    WorkloadParams params;
+    if (!parseInteger(count, params.count) || params.count < 1 ||
+        params.count > 100'000'000) {
         std::fprintf(stderr,
-                     "trace count must be in [1, 100000000], got %lld\n",
-                     count);
+                     "trace count must be in [1, 100000000], got %s\n",
+                     count.c_str());
         return kExitUsage;
     }
-    WorkloadParams params;
-    params.count = count;
-    Result<WorkloadKind> parsed = parseWorkloadKind(kind);
+    Result<WorkloadKind> parsed = parseWorkloadKind(a.words[2]);
     if (!parsed.ok()) {
         std::fprintf(stderr, "%s\n", parsed.error().toString().c_str());
         return kExitUsage;
@@ -1170,126 +913,29 @@ cmdGenTrace(const DramDescription& desc, const std::string& kind,
  * any protocol violation in any cell fails the run (exit 4).
  */
 int
-cmdSched(const DramDescription& desc, CampaignFlags flags, int argc,
-         char** argv)
+cmdSched(CliArgs& a, const DramDescription& desc)
 {
-    WorkloadParams params;
-    WorkloadKind kind = WorkloadKind::Local;
-    SchedulerOptions sched;
-    sched.policy = SchedPolicy::FrFcfs;
-    MapScheme scheme = MapScheme::RowBankCol;
-    bool matrix = false;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        long long count = 0;
-        if (startsWith(arg, "--workload=")) {
-            Result<WorkloadKind> parsed =
-                parseWorkloadKind(arg.substr(11));
-            if (!parsed.ok()) {
-                std::fprintf(stderr, "%s\n",
-                             parsed.error().toString().c_str());
-                return kExitUsage;
-            }
-            kind = parsed.value();
-        } else if (startsWith(arg, "--map=")) {
-            Result<MapScheme> parsed = parseMapScheme(arg.substr(6));
-            if (!parsed.ok()) {
-                std::fprintf(stderr, "%s\n",
-                             parsed.error().toString().c_str());
-                return kExitUsage;
-            }
-            scheme = parsed.value();
-        } else if (startsWith(arg, "--policy=")) {
-            Result<SchedPolicy> parsed = parseSchedPolicy(arg.substr(9));
-            if (!parsed.ok()) {
-                std::fprintf(stderr, "%s\n",
-                             parsed.error().toString().c_str());
-                return kExitUsage;
-            }
-            sched.policy = parsed.value();
-        } else if (startsWith(arg, "--page=")) {
-            Result<PagePolicy> parsed = parsePagePolicy(arg.substr(7));
-            if (!parsed.ok()) {
-                std::fprintf(stderr, "%s\n",
-                             parsed.error().toString().c_str());
-                return kExitUsage;
-            }
-            sched.pagePolicy = parsed.value();
-        } else if (startsWith(arg, "--count=")) {
-            if (!parseCount(arg.substr(8), 1, 10'000'000, count)) {
-                std::fprintf(stderr,
-                             "--count must be an integer in "
-                             "[1, 10000000], got '%s'\n",
-                             arg.substr(8).c_str());
-                return kExitUsage;
-            }
-            params.count = count;
-        } else if (startsWith(arg, "--seed=")) {
-            if (!parseCount(arg.substr(7), 0, UINT32_MAX, count)) {
-                std::fprintf(stderr,
-                             "--seed must be an integer in [0, 2^32), "
-                             "got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-            params.seed = static_cast<unsigned>(count);
-        } else if (startsWith(arg, "--window=")) {
-            if (!parseCount(arg.substr(9), 1, 4096, count)) {
-                std::fprintf(stderr,
-                             "--window must be an integer in [1, 4096], "
-                             "got '%s'\n",
-                             arg.substr(9).c_str());
-                return kExitUsage;
-            }
-            sched.windowSize = static_cast<int>(count);
-        } else if (startsWith(arg, "--run-length=")) {
-            if (!parseCount(arg.substr(13), 1, 1'000'000, count)) {
-                std::fprintf(stderr,
-                             "--run-length must be an integer in "
-                             "[1, 1000000], got '%s'\n",
-                             arg.substr(13).c_str());
-                return kExitUsage;
-            }
-            params.runLength = static_cast<int>(count);
-        } else if (startsWith(arg, "--write-frac=")) {
-            if (!parseReal(arg.substr(13), 0, 1, params.writeFraction)) {
-                std::fprintf(stderr,
-                             "--write-frac must be in [0, 1], got '%s'\n",
-                             arg.substr(13).c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--locality=")) {
-            if (!parseReal(arg.substr(11), 0, 1, params.locality)) {
-                std::fprintf(stderr,
-                             "--locality must be in [0, 1], got '%s'\n",
-                             arg.substr(11).c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--zipf=")) {
-            if (!parseReal(arg.substr(7), 0, 4, params.zipfExponent)) {
-                std::fprintf(stderr,
-                             "--zipf must be in [0, 4], got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--jump=")) {
-            if (!parseReal(arg.substr(7), 0, 1, params.jumpFraction)) {
-                std::fprintf(stderr,
-                             "--jump must be in [0, 1], got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-        } else if (arg == "--matrix") {
-            matrix = true;
-        } else {
-            std::fprintf(stderr, "unknown argument '%s' for sched\n",
-                         arg.c_str());
-            return kExitUsage;
-        }
+    // --seed and --window are shared with commands that take wider
+    // values; sched narrows them here.
+    if (a.seed && *a.seed > UINT32_MAX) {
+        std::fprintf(stderr, "--seed must be below 2^32 for sched, got "
+                             "'%lld'\n", *a.seed);
+        return kExitUsage;
     }
+    if (a.window && (*a.window < 1 || *a.window > 4096)) {
+        std::fprintf(stderr, "--window must be in [1, 4096] for sched, "
+                             "got '%lld'\n", *a.window);
+        return kExitUsage;
+    }
+    if (a.seed)
+        a.workload.seed = static_cast<unsigned>(*a.seed);
+    if (a.window)
+        a.sched.windowSize = static_cast<int>(*a.window);
+    const WorkloadParams& params = a.workload;
+    const SchedulerOptions& sched = a.sched;
 
-    if (matrix) {
-        installDrainHandler(flags.runner);
+    if (a.matrix) {
+        installDrainHandler(a.runner);
         SchedMatrixOptions options;
         options.workloads = allWorkloadKinds();
         options.schemes = allMapSchemes();
@@ -1300,7 +946,7 @@ cmdSched(const DramDescription& desc, CampaignFlags flags, int argc,
         options.windowSize = sched.windowSize;
         DiagnosticEngine diags;
         Result<SchedMatrixCampaign> campaign =
-            runSchedMatrixCampaign(desc, options, flags.runner, &diags);
+            runSchedMatrixCampaign(desc, options, a.runner, &diags);
         if (!campaign.ok()) {
             std::fprintf(stderr, "%s\n",
                          campaign.error().toString().c_str());
@@ -1330,8 +976,7 @@ cmdSched(const DramDescription& desc, CampaignFlags flags, int argc,
                  strformat("%.1f", cell.energyPerBit * 1e12)});
         }
         std::printf("%s", table.render().c_str());
-        printRunReport(campaign.value().report, diags,
-                       flags.explicitFlags);
+        printRunReport(campaign.value().report, diags, a.campaignFlags);
         if (violations > 0) {
             std::fprintf(stderr,
                          "scheduler matrix: %lld protocol violations\n",
@@ -1341,9 +986,9 @@ cmdSched(const DramDescription& desc, CampaignFlags flags, int argc,
         return exitCodeFor(campaign.value().report);
     }
 
-    AddressMap map(desc.spec, scheme);
+    AddressMap map(desc.spec, a.map);
     std::vector<MemoryAccess> accesses =
-        makeWorkload(desc.spec, map, kind, params);
+        makeWorkload(desc.spec, map, a.workloadKind, params);
     CommandScheduler scheduler(desc.spec, desc.timing, sched);
     Result<ScheduledStream> scheduled = scheduler.schedule(accesses);
     if (!scheduled.ok()) {
@@ -1356,8 +1001,9 @@ cmdSched(const DramDescription& desc, CampaignFlags flags, int argc,
                  "%lld accesses (%s/%s/%s/%s): %lld hits / %lld misses "
                  "/ %lld conflicts (hit rate %.0f%%), %lld reordered, "
                  "%lld cycles\n",
-                 stream.stats.accesses, workloadKindName(kind).c_str(),
-                 mapSchemeName(scheme).c_str(),
+                 stream.stats.accesses,
+                 workloadKindName(a.workloadKind).c_str(),
+                 mapSchemeName(a.map).c_str(),
                  schedPolicyName(sched.policy).c_str(),
                  pagePolicyName(sched.pagePolicy).c_str(),
                  stream.stats.rowHits, stream.stats.rowMisses,
@@ -1376,75 +1022,37 @@ cmdSched(const DramDescription& desc, CampaignFlags flags, int argc,
  * serial result.
  */
 int
-cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
-         char** argv)
+cmdTrace(CliArgs& a, const DramDescription& desc)
 {
-    const std::string path = argv[0];
-    long long window = 0;
-    std::string format = "text";
-    bool check = false;
-    bool serial = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--window=")) {
-            if (!parseCount(arg.substr(9), INT64_MIN, INT64_MAX,
-                            window)) {
-                std::fprintf(stderr,
-                             "--window must be an integer cycle count, "
-                             "got '%s'\n",
-                             arg.substr(9).c_str());
-                return kExitUsage;
-            }
-            // A numeric but unusable window — zero, negative, or wide
-            // enough to overflow the window index math — is a content
-            // defect, not a syntax defect: report the structured
-            // E-TRACE-WINDOW diagnostic (exit 4), same code the
-            // library's validateTraceWindow() uses.
-            Error invalid;
-            bool bad = false;
-            if (window == 0) {
-                invalid = Error{"--window=0 would request a timeline of "
-                                "zero-cycle windows; drop --window to "
-                                "evaluate without a timeline",
-                                0, 0, "", "E-TRACE-WINDOW"};
-                bad = true;
-            } else if (Status valid = validateTraceWindow(window);
-                       !valid.ok()) {
-                invalid = valid.error();
-                bad = true;
-            }
-            if (bad) {
-                std::fprintf(stderr, "%s\n",
-                             invalid.toString().c_str());
-                return exitCodeForError(invalid);
-            }
-        } else if (startsWith(arg, "--format=")) {
-            format = arg.substr(9);
-        } else if (arg == "--check") {
-            check = true;
-        } else if (arg == "--serial") {
-            serial = true;
-        } else {
-            std::fprintf(stderr, "unknown argument '%s' for trace\n",
-                         arg.c_str());
-            return kExitUsage;
+    const std::string& path = a.words[2];
+    const long long window = a.window.value_or(0);
+    // A numeric but unusable window — zero, negative, or wide enough to
+    // overflow the window index math — is a content defect, not a
+    // syntax defect: report the structured E-TRACE-WINDOW diagnostic
+    // (exit 4), same code the library's validateTraceWindow() uses.
+    if (a.window) {
+        Status valid = window == 0
+                           ? Status(Error{
+                                 "--window=0 would request a timeline of "
+                                 "zero-cycle windows; drop --window to "
+                                 "evaluate without a timeline",
+                                 0, 0, "", "E-TRACE-WINDOW"})
+                           : validateTraceWindow(window);
+        if (!valid.ok()) {
+            std::fprintf(stderr, "%s\n", valid.error().toString().c_str());
+            return exitCodeForError(valid.error());
         }
     }
-    if (format != "text" && format != "csv" && format != "json") {
-        std::fprintf(stderr, "unknown trace format '%s' (text|csv|json)\n",
-                     format.c_str());
-        return kExitUsage;
-    }
-    if (format == "csv" && window <= 0) {
+    if (a.format == "csv" && window <= 0) {
         std::fprintf(stderr,
                      "--format=csv emits the per-window timeline and "
                      "needs --window=N\n");
         return kExitUsage;
     }
 
-    installDrainHandler(flags.runner);
+    installDrainHandler(a.runner);
 
-    const bool parallel = !serial && !check && flags.runner.jobs != 1;
+    const bool parallel = !a.serial && !a.check && a.runner.jobs != 1;
     DiagnosticEngine diags;
     TraceStreamResult result;
     RunReport report;
@@ -1452,8 +1060,8 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
     if (parallel) {
         TraceCampaignOptions options;
         options.windowCycles = window;
-        options.jobs = flags.runner.jobs;
-        options.stopFlag = flags.runner.stopFlag;
+        options.jobs = a.runner.jobs;
+        options.stopFlag = a.runner.stopFlag;
         Result<TraceCampaignResult> campaign =
             evaluateTraceFileParallel(path, options, &diags);
         if (!campaign.ok()) {
@@ -1468,7 +1076,7 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
     } else {
         TraceStreamOptions options;
         options.windowCycles = window;
-        options.check = check;
+        options.check = a.check;
         options.banks = desc.spec.banks();
         options.timing = desc.timing;
         Result<TraceStreamResult> streamed =
@@ -1486,7 +1094,7 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
     PatternPower power = computePatternPowerFromStats(
         result.stats, model.operations(), desc.elec, tck, desc.spec);
 
-    if (check) {
+    if (a.check) {
         if (result.violationCount == 0) {
             std::fprintf(stderr, "trace is protocol-clean\n");
         } else {
@@ -1511,7 +1119,7 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
             w.stats, model.operations(), desc.elec, tck, desc.spec);
     };
 
-    if (format == "json") {
+    if (a.format == "json") {
         JsonWriter json;
         json.beginObject();
         json.key("cycles").value(result.cycles);
@@ -1521,7 +1129,7 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
         json.key("power_w").value(power.power);
         json.key("energy_per_bit_j").value(power.energyPerBit);
         json.key("bus_utilization").value(power.busUtilization);
-        if (check)
+        if (a.check)
             json.key("violations").value(result.violationCount);
         if (window > 0) {
             json.key("window_cycles").value(window);
@@ -1540,7 +1148,7 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
         }
         json.endObject();
         std::printf("%s\n", json.str().c_str());
-    } else if (format == "csv") {
+    } else if (a.format == "csv") {
         std::printf("window,start_cycle,cycles,current_a,power_w,"
                     "energy_j\n");
         for (size_t i = 0; i < result.windows.size(); ++i) {
@@ -1574,19 +1182,19 @@ cmdTrace(const DramDescription& desc, CampaignFlags flags, int argc,
         }
     }
     if (have_report) {
-        printRunReport(report, diags, flags.explicitFlags);
+        printRunReport(report, diags, a.campaignFlags);
         return exitCodeFor(report);
     }
     return kExitOk;
 }
 
 int
-cmdTrends(CampaignFlags flags, bool csv)
+cmdTrends(CliArgs& a, const DramDescription&)
 {
-    installDrainHandler(flags.runner);
+    installDrainHandler(a.runner);
     DiagnosticEngine diags;
     Result<TrendsCampaign> campaign =
-        runTrendsCampaign({}, flags.runner, &diags);
+        runTrendsCampaign({}, a.runner, &diags);
     if (!campaign.ok()) {
         std::fprintf(stderr, "%s\n",
                      campaign.error().toString().c_str());
@@ -1603,10 +1211,20 @@ cmdTrends(CampaignFlags flags, bool csv)
                       strformat("%.0f", p.idd0 * 1e3),
                       strformat("%.0f", p.idd4r * 1e3)});
     }
-    std::printf("%s", csv ? table.renderCsv().c_str()
-                          : table.render().c_str());
-    printRunReport(campaign.value().report, diags, flags.explicitFlags);
+    std::printf("%s", a.csv ? table.renderCsv().c_str()
+                            : table.render().c_str());
+    printRunReport(campaign.value().report, diags, a.campaignFlags);
     return exitCodeFor(campaign.value().report);
+}
+
+/** serve, fleet and serve-send need a socket path or a port. */
+bool
+missingEndpoint(const CliArgs& a, const char* command)
+{
+    if (!a.serve.socketPath.empty() || a.serve.port != 0)
+        return false;
+    std::fprintf(stderr, "%s needs --socket=PATH or --port=N\n", command);
+    return true;
 }
 
 /**
@@ -1615,87 +1233,16 @@ cmdTrends(CampaignFlags flags, bool csv)
  * then the process exits with the standard drain code 5.
  */
 int
-cmdServe(CampaignFlags flags, int argc, char** argv)
+cmdServe(CliArgs& a, const DramDescription&)
 {
-    ServeOptions options;
-    options.threads = flags.runner.jobs;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--socket=")) {
-            options.socketPath = arg.substr(9);
-        } else if (startsWith(arg, "--port=")) {
-            long long port = 0;
-            if (!parseCount(arg.substr(7), 1, 65535, port)) {
-                std::fprintf(stderr,
-                             "--port must be in [1, 65535], got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-            options.port = static_cast<int>(port);
-        } else if (startsWith(arg, "--queue=")) {
-            long long queue = 0;
-            if (!parseCount(arg.substr(8), 1, 1 << 20, queue)) {
-                std::fprintf(stderr,
-                             "--queue must be a positive request count, "
-                             "got '%s'\n",
-                             arg.substr(8).c_str());
-                return kExitUsage;
-            }
-            options.queueCapacity = queue;
-        } else if (startsWith(arg, "--deadline=")) {
-            options.deadlineSeconds = std::atof(arg.substr(11).c_str());
-            if (options.deadlineSeconds < 0) {
-                std::fprintf(stderr, "--deadline must be >= 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--max-deadline=")) {
-            options.maxDeadlineSeconds =
-                std::atof(arg.substr(15).c_str());
-            if (!(options.maxDeadlineSeconds > 0)) {
-                std::fprintf(stderr,
-                             "--max-deadline must be > 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--idle-timeout=")) {
-            options.idleSessionSeconds =
-                std::atof(arg.substr(15).c_str());
-            if (options.idleSessionSeconds < 0) {
-                std::fprintf(stderr,
-                             "--idle-timeout must be >= 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--cache=")) {
-            long long cache = 0;
-            if (!parseCount(arg.substr(8), 1, 4096, cache)) {
-                std::fprintf(stderr,
-                             "--cache must be in [1, 4096], got '%s'\n",
-                             arg.substr(8).c_str());
-                return kExitUsage;
-            }
-            options.cacheCapacity = static_cast<std::size_t>(cache);
-        } else {
-            std::fprintf(stderr, "unknown argument '%s' for serve\n",
-                         arg.c_str());
-            return kExitUsage;
-        }
-    }
-    if (options.socketPath.empty() && options.port == 0) {
-        std::fprintf(stderr,
-                     "serve needs --socket=PATH or --port=N\n");
+    ServeOptions options = a.serve;
+    options.threads = a.runner.jobs;
+    if (missingEndpoint(a, "serve"))
         return kExitUsage;
-    }
 
     options.stopFlag = &g_stop_requested;
-    ignoreSigpipe();
-    std::signal(SIGINT, onSigint);
-    std::signal(SIGTERM, onSigterm);
-    options.onReady = [] {
-        if (g_ready_marker) {
-            std::fprintf(stderr, "%s\n", kReadyMarker);
-            std::fflush(stderr);
-            g_ready_marker = false;
-        }
-    };
+    options.onReady = announceReady;
+    installDaemonHandlers();
 
     Result<ServeStats> stats = runServeServer(options);
     if (!stats.ok()) {
@@ -1714,144 +1261,22 @@ cmdServe(CampaignFlags flags, int argc, char** argv)
  * worker drained cleanly.
  */
 int
-cmdFleet(CampaignFlags flags, int argc, char** argv)
+cmdFleet(CliArgs& a, const DramDescription&)
 {
-    FleetOptions options;
-    options.serve.threads = flags.runner.jobs;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--socket=")) {
-            options.socketPath = arg.substr(9);
-        } else if (startsWith(arg, "--port=")) {
-            long long port = 0;
-            if (!parseCount(arg.substr(7), 1, 65535, port)) {
-                std::fprintf(stderr,
-                             "--port must be in [1, 65535], got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-            options.port = static_cast<int>(port);
-        } else if (startsWith(arg, "--workers=")) {
-            long long workers = 0;
-            if (!parseCount(arg.substr(10), 1, 64, workers)) {
-                std::fprintf(stderr,
-                             "--workers must be in [1, 64], got '%s'\n",
-                             arg.substr(10).c_str());
-                return kExitUsage;
-            }
-            options.workers = static_cast<int>(workers);
-        } else if (startsWith(arg, "--worker-dir=")) {
-            options.socketDir = arg.substr(13);
-        } else if (startsWith(arg, "--heartbeat=")) {
-            options.heartbeatSeconds =
-                std::atof(arg.substr(12).c_str());
-            if (!(options.heartbeatSeconds > 0)) {
-                std::fprintf(stderr,
-                             "--heartbeat must be > 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--heartbeat-deadline=")) {
-            options.heartbeatDeadlineSeconds =
-                std::atof(arg.substr(21).c_str());
-            if (!(options.heartbeatDeadlineSeconds > 0)) {
-                std::fprintf(
-                    stderr,
-                    "--heartbeat-deadline must be > 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--restart-budget=")) {
-            long long budget = 0;
-            if (!parseCount(arg.substr(17), 0, 1000, budget)) {
-                std::fprintf(
-                    stderr,
-                    "--restart-budget must be in [0, 1000], got "
-                    "'%s'\n",
-                    arg.substr(17).c_str());
-                return kExitUsage;
-            }
-            options.restartBudget = static_cast<int>(budget);
-        } else if (startsWith(arg, "--restart-base-ms=")) {
-            long long base = 0;
-            if (!parseCount(arg.substr(18), 1, 60'000, base)) {
-                std::fprintf(stderr,
-                             "--restart-base-ms must be in [1, 60000], "
-                             "got '%s'\n",
-                             arg.substr(18).c_str());
-                return kExitUsage;
-            }
-            options.restartBaseSeconds =
-                static_cast<double>(base) / 1000.0;
-        } else if (startsWith(arg, "--drain-timeout=")) {
-            options.drainTimeoutSeconds =
-                std::atof(arg.substr(16).c_str());
-            if (!(options.drainTimeoutSeconds > 0)) {
-                std::fprintf(stderr,
-                             "--drain-timeout must be > 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--failover-wait=")) {
-            options.failoverWaitSeconds =
-                std::atof(arg.substr(16).c_str());
-            if (!(options.failoverWaitSeconds > 0)) {
-                std::fprintf(stderr,
-                             "--failover-wait must be > 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--queue=")) {
-            long long queue = 0;
-            if (!parseCount(arg.substr(8), 1, 1 << 20, queue)) {
-                std::fprintf(stderr,
-                             "--queue must be a positive request "
-                             "count, got '%s'\n",
-                             arg.substr(8).c_str());
-                return kExitUsage;
-            }
-            options.serve.queueCapacity = queue;
-        } else if (startsWith(arg, "--deadline=")) {
-            options.serve.deadlineSeconds =
-                std::atof(arg.substr(11).c_str());
-            if (options.serve.deadlineSeconds < 0) {
-                std::fprintf(stderr,
-                             "--deadline must be >= 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--max-deadline=")) {
-            options.serve.maxDeadlineSeconds =
-                std::atof(arg.substr(15).c_str());
-            if (!(options.serve.maxDeadlineSeconds > 0)) {
-                std::fprintf(stderr,
-                             "--max-deadline must be > 0 seconds\n");
-                return kExitUsage;
-            }
-        } else if (startsWith(arg, "--idle-timeout=")) {
-            options.idleSessionSeconds =
-                std::atof(arg.substr(15).c_str());
-            if (options.idleSessionSeconds < 0) {
-                std::fprintf(stderr,
-                             "--idle-timeout must be >= 0 seconds\n");
-                return kExitUsage;
-            }
-            options.serve.idleSessionSeconds =
-                options.idleSessionSeconds;
-        } else if (startsWith(arg, "--cache=")) {
-            long long cache = 0;
-            if (!parseCount(arg.substr(8), 1, 4096, cache)) {
-                std::fprintf(stderr,
-                             "--cache must be in [1, 4096], got '%s'\n",
-                             arg.substr(8).c_str());
-                return kExitUsage;
-            }
-            options.serve.cacheCapacity = cache;
-        } else {
-            std::fprintf(stderr, "unknown argument '%s' for fleet\n",
-                         arg.c_str());
-            return kExitUsage;
-        }
-    }
-    if (options.socketPath.empty() && options.port == 0) {
-        std::fprintf(stderr, "fleet needs --socket=PATH or --port=N\n");
+    // The worker flags are serve's; fleet hands them to each worker.
+    FleetOptions options = a.fleet;
+    options.socketPath = a.serve.socketPath;
+    options.port = a.serve.port;
+    options.idleSessionSeconds = a.serve.idleSessionSeconds;
+    options.serve.threads = a.runner.jobs;
+    options.serve.queueCapacity = a.serve.queueCapacity;
+    options.serve.deadlineSeconds = a.serve.deadlineSeconds;
+    options.serve.maxDeadlineSeconds = a.serve.maxDeadlineSeconds;
+    options.serve.idleSessionSeconds = a.serve.idleSessionSeconds;
+    options.serve.cacheCapacity =
+        static_cast<long long>(a.serve.cacheCapacity);
+    if (missingEndpoint(a, "fleet"))
         return kExitUsage;
-    }
     if (options.socketDir.empty()) {
         if (options.socketPath.empty()) {
             std::fprintf(stderr,
@@ -1869,16 +1294,8 @@ cmdFleet(CampaignFlags flags, int argc, char** argv)
     }
 
     options.stopFlag = &g_stop_requested;
-    ignoreSigpipe();
-    std::signal(SIGINT, onSigint);
-    std::signal(SIGTERM, onSigterm);
-    options.onReady = [] {
-        if (g_ready_marker) {
-            std::fprintf(stderr, "%s\n", kReadyMarker);
-            std::fflush(stderr);
-            g_ready_marker = false;
-        }
-    };
+    options.onReady = announceReady;
+    installDaemonHandlers();
     options.onEvent = [](const std::string& event) {
         // One supervision event per line; scripted tests parse the
         // "worker N pid P" lines to aim their kill -9.
@@ -1906,55 +1323,13 @@ cmdFleet(CampaignFlags flags, int argc, char** argv)
 
 /** `vdram serve-send`: pipe stdin request lines to a daemon. */
 int
-cmdServeSend(int argc, char** argv)
+cmdServeSend(CliArgs& a, const DramDescription&)
 {
-    ServeSendOptions options;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--socket=")) {
-            options.socketPath = arg.substr(9);
-        } else if (startsWith(arg, "--port=")) {
-            long long value = 0;
-            if (!parseCount(arg.substr(7), 1, 65535, value)) {
-                std::fprintf(stderr,
-                             "--port must be in [1, 65535], got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-            options.port = static_cast<int>(value);
-        } else if (startsWith(arg, "--retries=")) {
-            long long retries = 0;
-            if (!parseCount(arg.substr(10), 0, 100, retries)) {
-                std::fprintf(stderr,
-                             "--retries must be in [0, 100], got "
-                             "'%s'\n",
-                             arg.substr(10).c_str());
-                return kExitUsage;
-            }
-            options.retries = static_cast<int>(retries);
-        } else if (startsWith(arg, "--retry-base-ms=")) {
-            long long base = 0;
-            if (!parseCount(arg.substr(16), 1, 60'000, base)) {
-                std::fprintf(stderr,
-                             "--retry-base-ms must be in [1, 60000], "
-                             "got '%s'\n",
-                             arg.substr(16).c_str());
-                return kExitUsage;
-            }
-            options.retryBaseSeconds =
-                static_cast<double>(base) / 1000.0;
-        } else {
-            std::fprintf(stderr,
-                         "unknown argument '%s' for serve-send\n",
-                         arg.c_str());
-            return kExitUsage;
-        }
-    }
-    if (options.socketPath.empty() && options.port == 0) {
-        std::fprintf(stderr,
-                     "serve-send needs --socket=PATH or --port=N\n");
+    ServeSendOptions options = a.send;
+    options.socketPath = a.serve.socketPath;
+    options.port = a.serve.port;
+    if (missingEndpoint(a, "serve-send"))
         return kExitUsage;
-    }
 
     std::string input;
     char chunk[4096];
@@ -1976,141 +1351,534 @@ cmdServeSend(int argc, char** argv)
     return kExitOk;
 }
 
-} // namespace
-
-namespace {
-
-/** True when @p arg is a flag the dispatched @p command consumes
- *  itself (anything else starting with "--" is a usage error). */
-bool
-commandOwnsFlag(const std::string& command, const std::string& arg)
+int
+cmdReplay(CliArgs& a, const DramDescription& desc)
 {
-    if (command == "sensitivity")
-        return arg == "--detailed";
-    if (command == "trends")
-        return arg == "--csv";
-    if (command == "workload")
-        return arg == "--closed";
-    if (command == "sched") {
-        return startsWith(arg, "--workload=") ||
-               startsWith(arg, "--count=") ||
-               startsWith(arg, "--seed=") ||
-               startsWith(arg, "--policy=") ||
-               startsWith(arg, "--page=") ||
-               startsWith(arg, "--map=") ||
-               startsWith(arg, "--window=") ||
-               startsWith(arg, "--write-frac=") ||
-               startsWith(arg, "--locality=") ||
-               startsWith(arg, "--zipf=") ||
-               startsWith(arg, "--run-length=") ||
-               startsWith(arg, "--jump=") || arg == "--matrix";
+    const std::string& path = a.words[2];
+    Result<Pattern> trace = loadCommandTraceFile(path);
+    if (!trace.ok()) {
+        std::fprintf(stderr, "%s\n", trace.error().toString().c_str());
+        return exitCodeForError(trace.error());
     }
-    if (command == "trace") {
-        return startsWith(arg, "--window=") ||
-               startsWith(arg, "--format=") || arg == "--check" ||
-               arg == "--serial";
+    if (trace.value().loop.empty()) {
+        std::fprintf(stderr, "%s: trace contains no commands\n",
+                     path.c_str());
+        return kExitRuntime;
     }
-    if (command == "montecarlo") {
-        return startsWith(arg, "--samples=") ||
-               startsWith(arg, "--seed=") || arg == "--json";
+    DramPowerModel model(desc);
+    PatternPower power = model.evaluate(trace.value());
+    std::printf("replayed %d cycles: current %s, power %s, %.1f "
+                "pJ/bit\n\n%s",
+                trace.value().cycles(),
+                formatEng(power.externalCurrent, "A").c_str(),
+                formatEng(power.power, "W").c_str(),
+                power.energyPerBit * 1e12,
+                renderBreakdown(power).c_str());
+    return 0;
+}
+
+int cmdHelp(CliArgs&, const DramDescription&);
+
+/** The commands that own a flag-table row (bits of Flag::owners). */
+enum : unsigned {
+    kSensitivity = 1u << 0,
+    kTrends = 1u << 1,
+    kWorkload = 1u << 2,
+    kMonteCarlo = 1u << 3,
+    kFit = 1u << 4,
+    kSched = 1u << 5,
+    kTrace = 1u << 6,
+    kServe = 1u << 7,
+    kFleet = 1u << 8,
+    kServeSend = 1u << 9,
+    /** Every command: diagnostics, observability, test hooks. */
+    kGlobal = 1u << 30,
+    /** Every command: the batch-runner (campaign) flags. */
+    kCampaign = 1u << 31,
+};
+
+/** What a flag's value must be. */
+enum class FlagKind {
+    Switch,  ///< no value: `--name`
+    Integer, ///< `--name=N`, an integer in [lo, hi]
+    Real,    ///< `--name=X`, a number in [lo, hi]
+    Enum,    ///< `--name=C`, one of the '|'-separated choices in meta
+    String,  ///< `--name=TEXT`, at least lo characters
+    File,    ///< a non-empty path, `--name=FILE` or `--name FILE`
+};
+
+/** A flag's value as parsed for its kind. The row has range-checked an
+ *  Integer, so setters may narrow it. */
+struct FlagValue {
+    long long integer = 0;
+    double real = 0;
+    std::string text;
+};
+
+/** One row of the flag table. */
+struct Flag {
+    const char* name;
+    /** Command bits (kMonteCarlo, ...) of the commands that accept it. */
+    unsigned owners;
+    FlagKind kind;
+    /** Integer/Real: the inclusive range. String: the minimum length. */
+    double lo;
+    double hi;
+    /** Value placeholder in --help; for an Enum, its choices. */
+    const char* meta;
+    /** One line for --help. */
+    const char* help;
+    /** Stores the validated value. */
+    void (*set)(CliArgs&, const FlagValue&);
+    /** Usage-error wording of the range; derived from kind and range
+     *  when null. */
+    const char* expects = nullptr;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/** Lower bound of "a number > 0". */
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+constexpr double kMinInteger = static_cast<double>(INT64_MIN);
+constexpr double kMaxInteger = static_cast<double>(INT64_MAX);
+constexpr unsigned kDaemons = kServe | kFleet;
+constexpr unsigned kEndpoints = kServe | kFleet | kServeSend;
+
+using enum FlagKind;
+
+constexpr Flag kFlags[] = {
+    {"--lint", kGlobal, Switch, 0, 0, "",
+     "validate the target only, report every diagnostic",
+     [](auto& a, auto&) { a.diag.lint = true; }},
+    {"--diag-format", kGlobal, Enum, 0, 0, "text|json", "diagnostic format",
+     [](auto& a, auto& v) { a.diag.format = v.text; }},
+    {"--metrics-out", kGlobal, File, 0, 0, "FILE",
+     "metrics snapshot (JSON) on exit; enables counters",
+     [](auto& a, auto& v) {
+         a.metricsOut = v.text;
+         setMetricsEnabled(true);
+     }},
+    {"--trace-out", kGlobal, File, 0, 0, "FILE",
+     "chrome://tracing JSON file on exit", [](auto& a, auto& v) {
+         a.traceOut = v.text;
+         setMetricsEnabled(true);
+         globalTrace().enable();
+     }},
+    {"--ready-marker", kGlobal, Switch, 0, 0, "",
+     "VDRAM-READY on stderr once SIGINT drains (test)",
+     [](auto&, auto&) { g_ready_marker = true; }},
+
+    {"--jobs", kCampaign, Integer, 0, 1024, "N", "worker threads (0 = all)",
+     [](auto& a, auto& v) { a.runner.jobs = v.integer; }},
+    {"--task-timeout", kCampaign, Real, kPositive, kInf, "S", "task deadline",
+     [](auto& a, auto& v) { a.runner.taskTimeoutSeconds = v.real; }},
+    {"--checkpoint", kCampaign, String, 1, 0, "PATH", "JSONL checkpoint",
+     [](auto& a, auto& v) { a.runner.checkpointPath = v.text; }},
+    {"--resume", kCampaign, Switch, 0, 0, "", "skip checkpointed tasks",
+     [](auto& a, auto&) { a.runner.resume = true; }},
+
+    {"--detailed", kSensitivity, Switch, 0, 0, "", "sweep every parameter",
+     [](auto& a, auto&) { a.detailed = true; }},
+    {"--csv", kTrends, Switch, 0, 0, "", "CSV instead of a table",
+     [](auto& a, auto&) { a.csv = true; }},
+    {"--closed", kWorkload, Switch, 0, 0, "", "closed-page policy",
+     [](auto& a, auto&) { a.closed = true; }},
+
+    {"--samples", kMonteCarlo, Integer, 1, 10'000'000, "N", "samples",
+     [](auto& a, auto& v) { a.samples = v.integer; }},
+    {"--seed", kMonteCarlo | kFit | kSched, Integer, 0, kMaxInteger, "N",
+     "random seed (sched: below 2^32)",
+     [](auto& a, auto& v) { a.seed = v.integer; }},
+    {"--json", kMonteCarlo | kFit, Switch, 0, 0, "", "JSON on stdout",
+     [](auto& a, auto&) { a.json = true; }},
+
+    {"--targets", kFit, String, 0, 0, "FILE", "IDD targets (JSON spec)",
+     [](auto& a, auto& v) { a.targets = v.text; }},
+    {"--datasheet", kFit, Enum, 0, 0, "ddr2|ddr3", "datasheet IDD bands",
+     [](auto& a, auto& v) { a.datasheet = v.text; }},
+    {"--rate", kFit, Real, 1, 1e6, "MBPS", "datasheet data rate",
+     [](auto& a, auto& v) { a.rate = v.real; }},
+    {"--width", kFit, Integer, 1, 128, "BITS", "datasheet I/O width",
+     [](auto& a, auto& v) { a.width = v.integer; }},
+    {"--edge", kFit, Real, 0, 1, "F", "aim point in each datasheet band",
+     [](auto& a, auto& v) { a.edge = v.real; }},
+    {"--starts", kFit, Integer, 1, 64, "N", "independent starts",
+     [](auto& a, auto& v) { a.fit.starts = v.integer; }},
+    {"--max-generations", kFit, Integer, 1, 100'000, "N", "generation cap",
+     [](auto& a, auto& v) { a.fit.maxGenerations = v.integer; }},
+    {"--step", kFit, Real, 1e-9, 10, "F", "initial relative step",
+     [](auto& a, auto& v) { a.fit.initialStep = v.real; }},
+    {"--shrink", kFit, Real, 1e-9, 0.999, "F", "step factor on no progress",
+     [](auto& a, auto& v) { a.fit.stepShrink = v.real; }},
+    {"--min-step", kFit, Real, 1e-12, 1, "F", "step at which a start ends",
+     [](auto& a, auto& v) { a.fit.minStep = v.real; }},
+    {"--spread", kFit, Real, 0, 10, "F", "spread of the restart points",
+     [](auto& a, auto& v) { a.fit.restartSpread = v.real; }},
+    {"--report", kFit, String, 0, 0, "FILE", "write the JSON fit report",
+     [](auto& a, auto& v) { a.report = v.text; }},
+    {"--list-parameters", kFit, Switch, 0, 0, "", "print fittable names",
+     [](auto& a, auto&) { a.listParameters = true; }},
+
+    {"--workload", kSched, Enum, 0, 0, "random|stream|local|zipf|chase|mixed",
+     "synthetic workload", [](auto& a, auto& v) {
+         a.workloadKind = parseWorkloadKind(v.text).value();
+     }},
+    {"--count", kSched, Integer, 1, 10'000'000, "N", "accesses",
+     [](auto& a, auto& v) { a.workload.count = v.integer; }},
+    {"--policy", kSched, Enum, 0, 0, "inorder|fcfs|frfcfs|fr-fcfs",
+     "scheduling policy (default frfcfs)", [](auto& a, auto& v) {
+         a.sched.policy = parseSchedPolicy(v.text).value();
+     }},
+    {"--page", kSched, Enum, 0, 0, "open|closed", "page policy",
+     [](auto& a, auto& v) {
+         a.sched.pagePolicy = parsePagePolicy(v.text).value();
+     }},
+    {"--map", kSched, Enum, 0, 0,
+     "row-bank-col|bank-row-col|xor-bank-row-col|xor", "address mapping",
+     [](auto& a, auto& v) { a.map = parseMapScheme(v.text).value(); }},
+    {"--window", kSched | kTrace, Integer, kMinInteger, kMaxInteger, "N",
+     "sched: reorder window; trace: timeline window",
+     [](auto& a, auto& v) { a.window = v.integer; }, "an integer cycle count"},
+    {"--write-frac", kSched, Real, 0, 1, "F", "share of writes",
+     [](auto& a, auto& v) { a.workload.writeFraction = v.real; }},
+    {"--locality", kSched, Real, 0, 1, "F", "row locality",
+     [](auto& a, auto& v) { a.workload.locality = v.real; }},
+    {"--zipf", kSched, Real, 0, 4, "F", "zipf exponent",
+     [](auto& a, auto& v) { a.workload.zipfExponent = v.real; }},
+    {"--run-length", kSched, Integer, 1, 1'000'000, "N", "accesses per run",
+     [](auto& a, auto& v) { a.workload.runLength = v.integer; }},
+    {"--jump", kSched, Real, 0, 1, "F", "share of random jumps",
+     [](auto& a, auto& v) { a.workload.jumpFraction = v.real; }},
+    {"--matrix", kSched, Switch, 0, 0, "",
+     "run every workload x map x policy x page cell",
+     [](auto& a, auto&) { a.matrix = true; }},
+
+    {"--format", kTrace, Enum, 0, 0, "text|csv|json", "csv = timeline",
+     [](auto& a, auto& v) { a.format = v.text; }},
+    {"--check", kTrace, Switch, 0, 0, "", "protocol check (serial)",
+     [](auto& a, auto&) { a.check = true; }},
+    {"--serial", kTrace, Switch, 0, 0, "", "serial despite --jobs",
+     [](auto& a, auto&) { a.serial = true; }},
+
+    {"--socket", kEndpoints, String, 0, 0, "PATH", "unix socket",
+     [](auto& a, auto& v) { a.serve.socketPath = v.text; }},
+    {"--port", kEndpoints, Integer, 1, 65535, "N", "loopback TCP port",
+     [](auto& a, auto& v) { a.serve.port = v.integer; }},
+    {"--queue", kDaemons, Integer, 1, 1 << 20, "N", "queue before shedding",
+     [](auto& a, auto& v) { a.serve.queueCapacity = v.integer; }},
+    {"--deadline", kDaemons, Real, 0, kInf, "S", "per-request deadline",
+     [](auto& a, auto& v) { a.serve.deadlineSeconds = v.real; }},
+    {"--max-deadline", kDaemons, Real, kPositive, kInf, "S", "deadline cap",
+     [](auto& a, auto& v) { a.serve.maxDeadlineSeconds = v.real; }},
+    {"--idle-timeout", kDaemons, Real, 0, kInf, "S", "idle session timeout",
+     [](auto& a, auto& v) { a.serve.idleSessionSeconds = v.real; }},
+    {"--cache", kDaemons, Integer, 1, 4096, "N", "model cache entries",
+     [](auto& a, auto& v) { a.serve.cacheCapacity = v.integer; }},
+
+    {"--workers", kFleet, Integer, 1, 64, "N", "worker processes",
+     [](auto& a, auto& v) { a.fleet.workers = v.integer; }},
+    {"--worker-dir", kFleet, String, 0, 0, "DIR", "worker socket directory",
+     [](auto& a, auto& v) { a.fleet.socketDir = v.text; }},
+    {"--heartbeat", kFleet, Real, kPositive, kInf, "S", "heartbeat period",
+     [](auto& a, auto& v) { a.fleet.heartbeatSeconds = v.real; }},
+    {"--heartbeat-deadline", kFleet, Real, kPositive, kInf, "S",
+     "restart a worker silent this long",
+     [](auto& a, auto& v) { a.fleet.heartbeatDeadlineSeconds = v.real; }},
+    {"--restart-budget", kFleet, Integer, 0, 1000, "N", "restarts per worker",
+     [](auto& a, auto& v) { a.fleet.restartBudget = v.integer; }},
+    {"--restart-base-ms", kFleet, Integer, 1, 60'000, "MS", "restart backoff",
+     [](auto& a, auto& v) { a.fleet.restartBaseSeconds = v.integer / 1e3; }},
+    {"--drain-timeout", kFleet, Real, kPositive, kInf, "S", "drain deadline",
+     [](auto& a, auto& v) { a.fleet.drainTimeoutSeconds = v.real; }},
+    {"--failover-wait", kFleet, Real, kPositive, kInf, "S", "wait for a worker",
+     [](auto& a, auto& v) { a.fleet.failoverWaitSeconds = v.real; }},
+
+    {"--retries", kServeSend, Integer, 0, 100, "N", "connect and shed retries",
+     [](auto& a, auto& v) { a.send.retries = v.integer; }},
+    {"--retry-base-ms", kServeSend, Integer, 1, 60'000, "MS", "retry backoff",
+     [](auto& a, auto& v) { a.send.retryBaseSeconds = v.integer / 1e3; }},
+};
+
+/** How a flag's value is described in its usage error. */
+std::string
+flagExpects(const Flag& flag)
+{
+    if (flag.expects)
+        return flag.expects;
+    if (flag.kind == Enum)
+        return std::string("one of ") + flag.meta;
+    if (flag.kind == String || flag.kind == File)
+        return "a non-empty path";
+    const char* what = flag.kind == Integer ? "an integer" : "a number";
+    if (flag.hi == kMaxInteger || flag.hi == kInf) {
+        return flag.lo == kPositive ? strformat("%s > 0", what)
+                                    : strformat("%s >= %g", what, flag.lo);
     }
-    if (command == "fit") {
-        return startsWith(arg, "--targets=") ||
-               startsWith(arg, "--datasheet=") ||
-               startsWith(arg, "--rate=") ||
-               startsWith(arg, "--width=") ||
-               startsWith(arg, "--edge=") ||
-               startsWith(arg, "--starts=") ||
-               startsWith(arg, "--max-generations=") ||
-               startsWith(arg, "--step=") ||
-               startsWith(arg, "--shrink=") ||
-               startsWith(arg, "--min-step=") ||
-               startsWith(arg, "--spread=") ||
-               startsWith(arg, "--seed=") ||
-               startsWith(arg, "--report=") || arg == "--json" ||
-               arg == "--list-parameters";
+    return strformat("%s in [%.10g, %.10g]", what, flag.lo, flag.hi);
+}
+
+/** Parse @p text as @p flag's value; false when it is out of range. */
+bool
+parseFlagValue(const Flag& flag, const std::string& text, FlagValue& value)
+{
+    value.text = text;
+    switch (flag.kind) {
+    case Switch:
+        return true;
+    case Integer:
+        return parseInteger(text, value.integer) &&
+               static_cast<double>(value.integer) >= flag.lo &&
+               static_cast<double>(value.integer) <= flag.hi;
+    case Real: {
+        char* end = nullptr;
+        value.real = std::strtod(text.c_str(), &end);
+        return !text.empty() && end == text.c_str() + text.size() &&
+               value.real >= flag.lo && value.real <= flag.hi;
     }
-    if (command == "serve") {
-        return startsWith(arg, "--socket=") ||
-               startsWith(arg, "--port=") ||
-               startsWith(arg, "--queue=") ||
-               startsWith(arg, "--deadline=") ||
-               startsWith(arg, "--max-deadline=") ||
-               startsWith(arg, "--idle-timeout=") ||
-               startsWith(arg, "--cache=");
-    }
-    if (command == "serve-send") {
-        return startsWith(arg, "--socket=") ||
-               startsWith(arg, "--port=") ||
-               startsWith(arg, "--retries=") ||
-               startsWith(arg, "--retry-base-ms=");
-    }
-    if (command == "fleet") {
-        return startsWith(arg, "--socket=") ||
-               startsWith(arg, "--port=") ||
-               startsWith(arg, "--workers=") ||
-               startsWith(arg, "--worker-dir=") ||
-               startsWith(arg, "--heartbeat=") ||
-               startsWith(arg, "--heartbeat-deadline=") ||
-               startsWith(arg, "--restart-budget=") ||
-               startsWith(arg, "--restart-base-ms=") ||
-               startsWith(arg, "--drain-timeout=") ||
-               startsWith(arg, "--failover-wait=") ||
-               startsWith(arg, "--queue=") ||
-               startsWith(arg, "--deadline=") ||
-               startsWith(arg, "--max-deadline=") ||
-               startsWith(arg, "--idle-timeout=") ||
-               startsWith(arg, "--cache=");
+    case Enum:
+        for (const std::string& choice : splitChar(flag.meta, '|')) {
+            if (text == choice)
+                return true;
+        }
+        return false;
+    case String:
+        return static_cast<double>(text.size()) >= flag.lo;
+    case File:
+        return !text.empty();
     }
     return false;
 }
 
-/** Flag value of "--name value" or "--name=value"; advances @p i for
- *  the two-token form. False when the value is missing or empty. */
-bool
-takeFlagValue(const std::string& name, int argc, char** argv, int& i,
-              std::string& value)
+struct Command {
+    const char* name;
+    /** The owner bit its own rows carry in kFlags; 0 when it has none. */
+    unsigned flags;
+    /** Positional arguments, for --help. */
+    const char* args;
+    /** Whether the first positional argument is a <target>. */
+    bool target;
+    /** Positional-argument count, target included; -1 = no limit. */
+    int minArgs;
+    int maxArgs;
+    const char* help;
+    int (*run)(CliArgs&, const DramDescription&);
+};
+
+const Command kCommands[] = {
+    {"list", 0, "", false, 0, 0, "list built-in presets", cmdList},
+    {"describe", 0, "<target>", true, 1, 1,
+     "summary, IDD table, breakdown, die", cmdDescribe},
+    {"idd", 0, "<target>", true, 1, 1, "IDD table only", cmdIdd},
+    {"json", 0, "<target>", true, 1, 1, "full evaluation as JSON", cmdJson},
+    {"emit", 0, "<target>", true, 1, 1, "the description language text",
+     cmdEmit},
+    {"pattern", 0, "<target> OP...", true, 1, -1,
+     "evaluate a loop of act pre rd wr nop ref pdn srf", cmdPattern},
+    {"sensitivity", kSensitivity, "<target>", true, 1, 1,
+     "Table I: each parameter at +/-20%", cmdSensitivity},
+    {"montecarlo", kMonteCarlo, "<target>", true, 1, 1,
+     "vendor-variation IDD distributions", cmdMonteCarlo},
+    {"sweep", 0, "<target> <parameter> F...", true, 3, -1,
+     "what-if factors on one parameter", cmdSweep},
+    {"fit", kFit, "<target>", true, 1, 1,
+     "calibrate to IDD targets (docs/calibration.md)", cmdFit},
+    {"schemes", 0, "<target>", true, 1, 1, "Section V power-reduction study",
+     cmdSchemes},
+    {"timing", 0, "<target>", true, 1, 1, "RC timing estimate", cmdTiming},
+    {"trends", kTrends, "", false, 0, 0, "generation ladder trends",
+     cmdTrends},
+    {"workload", kWorkload, "<target> <trace>", true, 2, 2,
+     "schedule an access trace and evaluate it", cmdWorkload},
+    {"gen-trace", 0, "<target> <workload> [count]", true, 2, 3,
+     "synthetic access trace (count 1000) to stdout", cmdGenTrace},
+    {"sched", kSched, "<target>", true, 1, 1,
+     "schedule a workload, command trace to stdout", cmdSched},
+    {"replay", 0, "<target> <cmdtrace>", true, 2, 2,
+     "evaluate a command trace (dense, capped)", cmdReplay},
+    {"trace", kTrace, "<target> <cmdtrace>", true, 2, 2,
+     "stream a command trace in bounded memory", cmdTrace},
+    {"serve", kServe, "", false, 0, 0, "JSON evaluation daemon (docs/serve.md)",
+     cmdServe},
+    {"serve-send", kServeSend, "", false, 0, 0,
+     "send stdin lines to a daemon, print the replies", cmdServeSend},
+    {"fleet", kFleet, "", false, 0, 0, "supervised serve workers, one socket",
+     cmdFleet},
+    {"help", 0, "", false, 0, -1, "print this text (also --help)", cmdHelp},
+};
+
+const Command*
+findCommand(const std::string& name)
 {
-    std::string arg = argv[i];
-    if (arg == name) {
-        if (i + 1 >= argc)
-            return false;
-        value = argv[++i];
-        return !value.empty();
+    for (const Command& command : kCommands) {
+        if (name == command.name)
+            return &command;
     }
-    value = arg.substr(name.size() + 1);
-    return !value.empty();
+    return nullptr;
+}
+
+/** One --help line: @p lead, then @p help from column 30. */
+void
+printHelpLine(std::FILE* out, const std::string& lead, const char* help)
+{
+    if (lead.size() < 30)
+        std::fprintf(out, "%-30s%s\n", lead.c_str(), help);
+    else
+        std::fprintf(out, "%s\n%30s%s\n", lead.c_str(), "", help);
+}
+
+/** Print the synopsis of every row owned by @p owners. */
+void
+printFlags(std::FILE* out, unsigned owners)
+{
+    for (const Flag& flag : kFlags) {
+        if (!(flag.owners & owners))
+            continue;
+        std::string lead = std::string("    ") + flag.name;
+        if (flag.kind != Switch)
+            lead += (flag.kind == File ? " " : "=") + std::string(flag.meta);
+        printHelpLine(out, lead, flag.help);
+    }
+}
+
+void
+printUsage(std::FILE* out)
+{
+    std::fprintf(out, "usage: vdram_cli [flags] <command> [args]\n"
+                      "<target> = file.dram | preset:<name>\n"
+                      "commands:\n");
+    for (const Command& command : kCommands) {
+        printHelpLine(out, strformat("  %s %s", command.name, command.args),
+                      command.help);
+        if (command.flags)
+            printFlags(out, command.flags);
+    }
+    std::fprintf(out, "flags (every command):\n");
+    printFlags(out, kGlobal);
+    std::fprintf(out, "campaign flags (montecarlo, sensitivity, sweep, "
+                      "trends,\n  trace, sched --matrix, fit):\n");
+    printFlags(out, kCampaign);
+    std::fprintf(
+        out,
+        "env: VDRAM_FAILPOINTS=name=action[:arg][@rate][,...] injects faults\n"
+        "     at named sites, e.g. runner.task=error@0.2 (docs/runner.md)\n"
+        "SIGINT drains a campaign or daemon: in-flight work finishes, the\n"
+        "checkpoint is flushed, partial results are reported (exit 5).\n"
+        "exit codes: 0 ok, 1 runtime (fit: outside tolerance), 2 usage,\n"
+        "3 syntax error, 4 validation error, 5 interrupted (partial\n"
+        "results), 6 unreadable input/checkpoint file\n");
+}
+
+int
+cmdHelp(CliArgs&, const DramDescription&)
+{
+    printUsage(stdout);
+    return kExitOk;
+}
+
+int
+usage()
+{
+    printUsage(stderr);
+    return kExitUsage;
+}
+
+/** The row @p arg names, with its value in @p text; null when no row
+ *  matches its spelling. May consume the next argument. */
+const Flag*
+matchFlag(int argc, char** argv, int& i, std::string& text)
+{
+    const std::string arg = argv[i];
+    for (const Flag& flag : kFlags) {
+        const size_t n = std::strlen(flag.name);
+        if (arg.compare(0, n, flag.name) != 0)
+            continue;
+        if (arg.size() == n) {
+            if (flag.kind == Switch)
+                return &flag;
+            if (flag.kind == File) {
+                text = i + 1 < argc ? argv[++i] : "";
+                return &flag;
+            }
+        } else if (arg[n] == '=' && flag.kind != Switch) {
+            text = arg.substr(n + 1);
+            return &flag;
+        }
+    }
+    return nullptr;
+}
+
+/**
+ * Parse argv into @p a: every argument that starts with "--" through
+ * its kFlags row, every other one into a.words. A flag must be owned by
+ * the command (the first word) or by every command. Returns kExitOk, or
+ * kExitUsage after printing the error.
+ */
+int
+parseArgs(int argc, char** argv, CliArgs& a)
+{
+    // Before the command word, only the rows every command owns apply.
+    unsigned owners = kGlobal | kCampaign;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.compare(0, 2, "--") != 0) {
+            const Command* command =
+                a.words.empty() ? findCommand(arg) : nullptr;
+            if (command)
+                owners |= command->flags;
+            a.words.push_back(arg);
+            continue;
+        }
+        std::string text;
+        const Flag* flag = matchFlag(argc, argv, i, text);
+        if (!flag || !(flag->owners & owners)) {
+            std::fprintf(stderr,
+                         "unknown flag '%s' for command '%s' "
+                         "(see vdram_cli --help)\n",
+                         arg.c_str(),
+                         a.words.empty() ? "" : a.words[0].c_str());
+            return kExitUsage;
+        }
+        FlagValue value;
+        if (!parseFlagValue(*flag, text, value)) {
+            std::fprintf(stderr, "%s must be %s, got '%s'\n", flag->name,
+                         flagExpects(*flag).c_str(), text.c_str());
+            return kExitUsage;
+        }
+        flag->set(a, value);
+        if (flag->owners & kCampaign)
+            a.campaignFlags = true;
+    }
+    return kExitOk;
 }
 
 /** Flush the --metrics-out / --trace-out files. Runs after dispatch on
  *  every exit path of runCli() (including usage and load errors), so a
  *  partial campaign still leaves its observability data behind. */
 void
-writeObservabilityOutputs()
+writeObservabilityOutputs(const CliArgs& a)
 {
-    if (!g_metrics_out.empty()) {
-        std::ofstream out(g_metrics_out, std::ios::trunc);
+    if (!a.metricsOut.empty()) {
+        std::ofstream out(a.metricsOut, std::ios::trunc);
         if (out)
             out << globalMetrics().snapshot().renderJson() << "\n";
         if (!out) {
             std::fprintf(stderr, "warning: cannot write metrics to %s\n",
-                         g_metrics_out.c_str());
+                         a.metricsOut.c_str());
         }
     }
-    if (!g_trace_out.empty()) {
+    if (!a.traceOut.empty()) {
         globalTrace().disable();
-        std::ofstream out(g_trace_out, std::ios::trunc);
+        std::ofstream out(a.traceOut, std::ios::trunc);
         if (out)
             out << globalTrace().renderChromeJson() << "\n";
         if (!out) {
             std::fprintf(stderr, "warning: cannot write trace to %s\n",
-                         g_trace_out.c_str());
+                         a.traceOut.c_str());
         }
     }
 }
 
 int
-runCli(int argc, char** argv)
+runCli(int argc, char** argv, CliArgs& a)
 {
     // A malformed VDRAM_FAILPOINTS spec is a usage error up front;
     // silently ignoring it would run chaos tests without any chaos.
@@ -2120,242 +1888,52 @@ runCli(int argc, char** argv)
                      failpoints.error().toString().c_str());
         return kExitUsage;
     }
-
-    // Strip the global flags (position-independent) before command
-    // dispatch. Campaign flags are validated here so a typo exits with
-    // a usage error instead of silently running with defaults.
-    DiagOptions opts;
-    CampaignFlags campaign;
-    std::vector<char*> args;
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            printUsage(stdout);
-            return kExitOk;
-        }
-        if (arg == "--lint") {
-            opts.lint = true;
-            continue;
-        }
-        if (startsWith(arg, "--diag-format=")) {
-            opts.format = arg.substr(14);
-            continue;
-        }
-        if (arg == "--metrics-out" || startsWith(arg, "--metrics-out=")) {
-            if (!takeFlagValue("--metrics-out", argc, argv, i,
-                               g_metrics_out)) {
-                std::fprintf(stderr, "--metrics-out needs a file path\n");
-                return kExitUsage;
-            }
-            setMetricsEnabled(true);
-            continue;
-        }
-        if (arg == "--trace-out" || startsWith(arg, "--trace-out=")) {
-            if (!takeFlagValue("--trace-out", argc, argv, i,
-                               g_trace_out)) {
-                std::fprintf(stderr, "--trace-out needs a file path\n");
-                return kExitUsage;
-            }
-            setMetricsEnabled(true);
-            globalTrace().enable();
-            continue;
-        }
-        if (arg == "--ready-marker") {
-            g_ready_marker = true;
-            continue;
-        }
-        if (startsWith(arg, "--jobs=")) {
-            long long jobs = 0;
-            if (!parseCount(arg.substr(7), 0, 1024, jobs)) {
-                std::fprintf(stderr,
-                             "--jobs must be an integer in [0, 1024] "
-                             "(0 = all cores), got '%s'\n",
-                             arg.substr(7).c_str());
-                return kExitUsage;
-            }
-            campaign.runner.jobs = static_cast<int>(jobs);
-            campaign.explicitFlags = true;
-            continue;
-        }
-        if (startsWith(arg, "--task-timeout=")) {
-            std::string text = arg.substr(15);
-            char* end = nullptr;
-            double seconds = std::strtod(text.c_str(), &end);
-            if (text.empty() || end != text.c_str() + text.size() ||
-                !(seconds > 0)) {
-                std::fprintf(stderr,
-                             "--task-timeout must be a positive number "
-                             "of seconds, got '%s'\n",
-                             text.c_str());
-                return kExitUsage;
-            }
-            campaign.runner.taskTimeoutSeconds = seconds;
-            campaign.explicitFlags = true;
-            continue;
-        }
-        if (startsWith(arg, "--checkpoint=")) {
-            std::string path = arg.substr(13);
-            if (path.empty()) {
-                std::fprintf(stderr,
-                             "--checkpoint needs a file path\n");
-                return kExitUsage;
-            }
-            campaign.runner.checkpointPath = path;
-            campaign.explicitFlags = true;
-            continue;
-        }
-        if (arg == "--resume") {
-            campaign.runner.resume = true;
-            campaign.explicitFlags = true;
-            continue;
-        }
-        if (startsWith(arg, "--inject-fault=")) {
-            Result<FaultPlan> plan = parseFaultPlan(arg.substr(15));
-            if (!plan.ok()) {
-                std::fprintf(stderr, "--inject-fault: %s\n",
-                             plan.error().toString().c_str());
-                return kExitUsage;
-            }
-            campaign.runner.faultPlan = plan.value();
-            campaign.explicitFlags = true;
-            continue;
-        }
-        args.push_back(argv[i]);
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--help") == 0 ||
+            std::strcmp(argv[i], "-h") == 0)
+            return cmdHelp(a, DramDescription{});
     }
-    if (opts.format != "text" && opts.format != "json") {
-        std::fprintf(stderr,
-                     "unknown diagnostic format '%s' (text|json)\n",
-                     opts.format.c_str());
-        return kExitUsage;
-    }
-    argc = static_cast<int>(args.size());
-    argv = args.data();
+    if (int status = parseArgs(argc, argv, a); status != kExitOk)
+        return status;
 
-    if (opts.lint) {
+    if (a.diag.lint) {
         // Lint mode needs only a target: the last argument (so both
         // "vdram_cli --lint file.dram" and
         // "vdram_cli describe file.dram --lint" work).
-        if (argc < 2)
+        if (a.words.empty())
             return usage();
         DramDescription desc;
-        return loadTarget(argv[argc - 1], opts, desc);
+        return loadTarget(a.words.back(), a.diag, desc);
     }
 
-    if (argc < 2)
+    const Command* command =
+        a.words.empty() ? nullptr : findCommand(a.words[0]);
+    if (!command)
         return usage();
-    std::string command = argv[1];
-    if (command == "help") {
-        printUsage(stdout);
-        return kExitOk;
-    }
-
-    // Reject flags the dispatched command does not understand (the
-    // global ones were stripped above). Silently ignoring a typo like
-    // --sample=100 would run a different experiment than asked for.
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (startsWith(arg, "--") && !commandOwnsFlag(command, arg)) {
-            std::fprintf(stderr,
-                         "unknown flag '%s' for command '%s' "
-                         "(see vdram_cli --help)\n",
-                         arg.c_str(), command.c_str());
-            return kExitUsage;
-        }
-    }
-
-    if (command == "list")
-        return cmdList();
-    if (command == "serve")
-        return cmdServe(campaign, argc - 2, argv + 2);
-    if (command == "fleet")
-        return cmdFleet(campaign, argc - 2, argv + 2);
-    if (command == "serve-send")
-        return cmdServeSend(argc - 2, argv + 2);
-    if (command == "trends") {
-        bool csv = argc > 2 && std::strcmp(argv[2], "--csv") == 0;
-        return cmdTrends(campaign, csv);
-    }
-
-    // `fit --list-parameters` needs no target.
-    if (command == "fit" && argc == 3 &&
-        std::strcmp(argv[2], "--list-parameters") == 0) {
+    if (a.listParameters) { // fit --list-parameters needs no target
         for (const std::string& name : fitParameterNames())
             std::printf("%s\n", name.c_str());
         return kExitOk;
     }
-
-    if (argc < 3)
-        return usage();
     DramDescription desc;
-    int load_status = loadTarget(argv[2], opts, desc);
-    if (load_status != kExitOk)
-        return load_status;
-
-    if (command == "describe")
-        return cmdDescribe(desc);
-    if (command == "idd")
-        return cmdIdd(desc);
-    if (command == "json") {
-        DramPowerModel model(desc);
-        std::printf("%s\n", modelToJson(model).c_str());
-        return 0;
+    if (command->target) {
+        if (a.words.size() < 2)
+            return usage();
+        if (int status = loadTarget(a.words[1], a.diag, desc);
+            status != kExitOk)
+            return status;
     }
-    if (command == "emit")
-        return cmdEmit(desc);
-    if (command == "pattern")
-        return cmdPattern(desc, argc - 3, argv + 3);
-    if (command == "sensitivity") {
-        bool detailed = argc > 3 &&
-                        std::strcmp(argv[3], "--detailed") == 0;
-        return cmdSensitivity(desc, campaign, detailed);
+    const int given = static_cast<int>(a.words.size()) - 1;
+    if (given < command->minArgs)
+        return usage();
+    if (command->maxArgs >= 0 && given > command->maxArgs) {
+        std::fprintf(stderr,
+                     "unexpected argument '%s' for command '%s' "
+                     "(see vdram_cli --help)\n",
+                     a.words[command->maxArgs + 1].c_str(), command->name);
+        return kExitUsage;
     }
-    if (command == "montecarlo")
-        return cmdMonteCarlo(desc, campaign, argc - 3, argv + 3);
-    if (command == "fit")
-        return cmdFit(desc, campaign, argc - 3, argv + 3);
-    if (command == "sweep" && argc > 4)
-        return cmdSweep(desc, campaign, argv[3], argc - 4, argv + 4);
-    if (command == "schemes")
-        return cmdSchemes(desc);
-    if (command == "timing")
-        return cmdTiming(desc);
-    if (command == "workload" && argc > 3) {
-        bool closed = argc > 4 && std::strcmp(argv[4], "--closed") == 0;
-        return cmdWorkload(desc, argv[3], closed);
-    }
-    if (command == "gen-trace" && argc > 3) {
-        long long count = argc > 4 ? std::atoll(argv[4]) : 1000;
-        return cmdGenTrace(desc, argv[3], count);
-    }
-    if (command == "sched")
-        return cmdSched(desc, campaign, argc - 3, argv + 3);
-    if (command == "trace" && argc > 3)
-        return cmdTrace(desc, campaign, argc - 3, argv + 3);
-    if (command == "replay" && argc > 3) {
-        Result<Pattern> trace = loadCommandTraceFile(argv[3]);
-        if (!trace.ok()) {
-            std::fprintf(stderr, "%s\n",
-                         trace.error().toString().c_str());
-            return exitCodeForError(trace.error());
-        }
-        if (trace.value().loop.empty()) {
-            std::fprintf(stderr, "%s: trace contains no commands\n",
-                         argv[3]);
-            return kExitRuntime;
-        }
-        DramPowerModel model(desc);
-        PatternPower power = model.evaluate(trace.value());
-        std::printf("replayed %d cycles: current %s, power %s, %.1f "
-                    "pJ/bit\n\n%s",
-                    trace.value().cycles(),
-                    formatEng(power.externalCurrent, "A").c_str(),
-                    formatEng(power.power, "W").c_str(),
-                    power.energyPerBit * 1e12,
-                    renderBreakdown(power).c_str());
-        return 0;
-    }
-
-    return usage();
+    return command->run(a, desc);
 }
 
 } // namespace
@@ -2365,7 +1943,8 @@ main(int argc, char** argv)
 {
     if (argc > 0 && argv[0])
         g_argv0 = argv[0];
-    int code = runCli(argc, argv);
-    writeObservabilityOutputs();
+    CliArgs args;
+    int code = runCli(argc, argv, args);
+    writeObservabilityOutputs(args);
     return code;
 }
