@@ -200,7 +200,7 @@ generationCandidates(const FitSetup& setup, const SearchPoint& point)
  *  runner campaign (failed/quarantined candidates score +infinity). */
 Result<std::vector<double>>
 runGeneration(const FitSetup& setup, const FitOptions& fit,
-              const RunnerOptions& userOptions, FitEvaluators& evaluators,
+              const RunnerOptions& options, FitEvaluators& evaluators,
               FastPathMode fastPath, int start, int generation,
               const std::vector<std::vector<double>>& candidates,
               RunReport& accounting, bool& interrupted,
@@ -217,15 +217,6 @@ runGeneration(const FitSetup& setup, const FitOptions& fit,
             TaskSpec{strformat("s%d-g%d-c%zu", start, generation, c),
                      deriveStreamSeed(genStream, c)});
     }
-
-    // The generation shares the caller's worker/retry/deadline/fault
-    // configuration but never its checkpoint file: the fit owns its own
-    // trajectory checkpoint (one record per generation), because runner
-    // records are matched by manifest index and every generation would
-    // collide on indices 0..2P.
-    RunnerOptions options = userOptions;
-    options.checkpointPath.clear();
-    options.resume = false;
 
     BatchRunner runner(
         std::move(manifest),
@@ -448,9 +439,22 @@ runFitCampaign(const DramDescription& nominal, const FitTargetSpec& spec,
         checkpointOk = false;
     };
 
+    // Every generation shares the caller's worker/retry/deadline/fault
+    // configuration but never its checkpoint file: the fit owns its own
+    // trajectory checkpoint (one record per generation), because runner
+    // records are matched by manifest index and every generation would
+    // collide on indices 0..2P. All generations run on one pool, sized
+    // like the pool a single generation's batch would start.
+    const int candidates = 1 + 2 * static_cast<int>(setup.params.size());
+    WorkerPool pool(WorkerPool::Options{
+        std::min(effectiveJobCount(runnerOptions.jobs), candidates), 0});
+    RunnerOptions batchOptions = runnerOptions;
+    batchOptions.checkpointPath.clear();
+    batchOptions.resume = false;
+    batchOptions.pool = &pool;
+
     const FastPathMode fastPath = fastPathMode();
-    FitEvaluators evaluators(nominalModel.value(),
-                             effectiveJobCount(runnerOptions.jobs));
+    FitEvaluators evaluators(nominalModel.value(), pool.threadCount());
     globalMetrics().counter("fit.runs").add(1);
 
     FitResult result;
@@ -534,7 +538,7 @@ runFitCampaign(const DramDescription& nominal, const FitTargetSpec& spec,
                     generationCandidates(setup, point);
                 bool interrupted = false;
                 Result<std::vector<double>> objectives = runGeneration(
-                    setup, fit, runnerOptions, evaluators, fastPath,
+                    setup, fit, batchOptions, evaluators, fastPath,
                     start, generation, candidates, result.report,
                     interrupted, diags);
                 if (!objectives.ok())

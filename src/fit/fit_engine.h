@@ -151,9 +151,10 @@ std::vector<std::string> defaultFitParameters();
  * Run the fit campaign. Infrastructure failures (invalid nominal
  * description, unusable spec, unreadable or mismatched checkpoint) are
  * errors; per-candidate failures are contained by the batch runner.
- * A raised stop flag drains gracefully: the result has
- * interrupted = true and the trajectory checkpoint keeps every
- * completed generation for --resume.
+ * Every generation's batch runs on one worker pool that the fit starts
+ * and stops itself (@p runner.pool is not used). A raised stop flag
+ * drains gracefully: the result has interrupted = true and the
+ * trajectory checkpoint keeps every completed generation for --resume.
  */
 Result<FitResult> runFitCampaign(const DramDescription& nominal,
                                  const FitTargetSpec& spec,

@@ -7,6 +7,7 @@
 #include <exception>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -196,8 +197,8 @@ BatchRunner::invokeOnce(const TaskContext& context)
     // The named-failpoint site for task invocation, seeded by the task
     // seed so the same tasks fault in every run and resume leg. Error is
     // reported transient (exercises the retry ladder); Stall blocks
-    // until the watchdog cancels, bounded so a stall without an armed
-    // deadline cannot hang the campaign.
+    // until the deadline cancels it, bounded so a stall without an
+    // armed deadline cannot hang the campaign.
     FailpointHit hit = failpointHit("runner.task", context.seed);
     if (hit.fired()) {
         if (metricsEnabled())
@@ -243,7 +244,7 @@ BatchRunner::executeTask(long long index, WorkerPool::JobContext& job)
     for (int attempt = 1;; ++attempt) {
         result.attempts = attempt;
         // Re-arm per attempt: clears a previous cancellation and starts
-        // a fresh deadline against the pool's watchdog.
+        // a fresh deadline.
         job.armDeadline(options_.taskTimeoutSeconds);
 
         TaskContext context;
@@ -277,8 +278,8 @@ BatchRunner::executeTask(long long index, WorkerPool::JobContext& job)
         job.clearDeadline();
 
         if (job.cancelled()) {
-            // The watchdog fired while this attempt ran; whatever the
-            // task returned after its deadline is not trusted.
+            // The deadline passed while this attempt ran; whatever the
+            // task returned after it is not trusted.
             result.outcome = TaskOutcome::TimedOut;
             result.error = strformat("deadline of %.3f s exceeded",
                                      options_.taskTimeoutSeconds);
@@ -383,37 +384,52 @@ BatchRunner::run(DiagnosticEngine* diags)
             return opened.error();
     }
 
-    const int jobs = static_cast<int>(std::max<long long>(
-        1, std::min<long long>(effectiveJobCount(options_.jobs), total)));
-
     Clock::time_point start = Clock::now();
 
-    // One job per manifest task on the shared pool (FIFO dispatch, same
+    // One job per manifest task on the pool (FIFO dispatch, same
     // assignment order as the old per-runner thread loop). A job that
     // observes the stop flag returns immediately, leaving its task
     // NotRun — that IS the graceful drain.
-    WorkerPool pool(WorkerPool::Options{jobs, 0});
+    std::optional<WorkerPool> ownPool;
+    WorkerPool* pool = options_.pool;
+    if (pool == nullptr) {
+        const int jobs = static_cast<int>(std::max<long long>(
+            1,
+            std::min<long long>(effectiveJobCount(options_.jobs), total)));
+        pool = &ownPool.emplace(WorkerPool::Options{jobs, 0});
+    }
+    // Per-worker utilization counters, looked up on each worker's first
+    // task of the run; an entry is only touched by its own worker.
+    struct WorkerCounters {
+        Counter* busyNs = nullptr;
+        Counter* tasks = nullptr;
+    };
+    std::vector<WorkerCounters> workerCounters(
+        static_cast<size_t>(pool->threadCount()));
     for (long long i = 0; i < total; ++i) {
         if (results_[i].outcome == TaskOutcome::SkippedResume)
             continue;
-        pool.submit([this, i, &pool, &writer, &checkpoint_mutex,
-                     &checkpoint_ok](WorkerPool::JobContext& job) {
+        pool->submit([this, i, pool, &workerCounters, &writer,
+                      &checkpoint_mutex,
+                      &checkpoint_ok](WorkerPool::JobContext& job) {
             if (stopRequested())
                 return; // drain: no new task starts
             const bool instrumented = metricsEnabled();
             if (instrumented)
-                runnerInstruments().queueDepth.set(pool.queueDepth());
+                runnerInstruments().queueDepth.set(pool->queueDepth());
             TaskResult result = executeTask(i, job);
             if (instrumented) {
-                globalMetrics()
-                    .counter(strformat("runner.worker.%d.busy_ns",
-                                       job.worker()))
-                    .add(static_cast<std::uint64_t>(result.seconds *
-                                                    1e9));
-                globalMetrics()
-                    .counter(
-                        strformat("runner.worker.%d.tasks", job.worker()))
-                    .add();
+                WorkerCounters& counters =
+                    workerCounters[static_cast<size_t>(job.worker())];
+                if (counters.busyNs == nullptr) {
+                    counters.busyNs = &globalMetrics().counter(strformat(
+                        "runner.worker.%d.busy_ns", job.worker()));
+                    counters.tasks = &globalMetrics().counter(
+                        strformat("runner.worker.%d.tasks", job.worker()));
+                }
+                counters.busyNs->add(
+                    static_cast<std::uint64_t>(result.seconds * 1e9));
+                counters.tasks->add();
             }
             if (checkpoint_ok.load(std::memory_order_acquire)) {
                 TaskRecord record;
@@ -435,8 +451,8 @@ BatchRunner::run(DiagnosticEngine* diags)
             results_[i] = std::move(result);
         });
     }
-    pool.drain();
-    pool.shutdown();
+    pool->drain();
+    ownPool.reset();
 
     report_.wallSeconds = secondsSince(start);
 

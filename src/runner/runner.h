@@ -15,7 +15,8 @@
  *    diagnostics attached, never aborting the run,
  *  - bounded retry with exponential backoff for transient errors
  *    (diagnostic codes starting "T-"),
- *  - a per-task deadline watchdog (cooperative cancellation),
+ *  - per-task deadlines (cooperative cancellation, checked by the task
+ *    itself),
  *  - crash-safe JSONL checkpointing (see checkpoint.h) so --resume
  *    skips already-completed tasks,
  *  - graceful stop draining: when the stop flag rises, in-flight tasks
@@ -55,7 +56,8 @@ struct TaskContext {
     std::uint64_t seed = 0;
     /**
      * Index of the worker slot running this task, in
-     * [0, effectiveJobCount(options.jobs)). Tasks use it to index
+     * [0, effectiveJobCount(options.jobs)), or [0, threadCount()) of a
+     * borrowed RunnerOptions::pool. Tasks use it to index
      * per-worker scratch state (e.g. a VariantEvaluator) without
      * locking; it is stable across the retries of one attempt chain.
      */
@@ -142,7 +144,7 @@ struct RunnerOptions {
     int maxRetries = 2;
     /** Base backoff before the first retry; doubles per attempt. */
     double backoffSeconds = 0.005;
-    /** Per-task deadline in seconds; 0 disables the watchdog. */
+    /** Per-task deadline in seconds; 0 = none. */
     double taskTimeoutSeconds = 0;
     /** Checkpoint file; empty disables checkpointing. */
     std::string checkpointPath;
@@ -153,6 +155,14 @@ struct RunnerOptions {
      * between tasks: no new task starts once it is true.
      */
     const std::atomic<bool>* stopFlag = nullptr;
+    /**
+     * Borrowed worker pool; null = run() starts a pool of @ref jobs
+     * threads and shuts it down before it returns. A caller running
+     * many small batches (one per `vdram fit` generation) lends one
+     * pool to all of them: run() drains it but leaves it running. No
+     * one else may submit to a borrowed pool while run() drains it.
+     */
+    WorkerPool* pool = nullptr;
 };
 
 /**

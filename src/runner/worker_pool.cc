@@ -24,25 +24,36 @@ nowNanos()
 bool
 WorkerPool::JobContext::cancelled() const
 {
-    return pool_->slots_[static_cast<size_t>(worker_)].cancel.load(
-        std::memory_order_acquire);
+    Slot& slot = pool_->slots_[static_cast<size_t>(worker_)];
+    if (slot.cancel.load(std::memory_order_acquire))
+        return true;
+    const std::int64_t deadline =
+        slot.deadlineNanos.load(std::memory_order_acquire);
+    if (deadline == 0 || nowNanos() <= deadline)
+        return false;
+    slot.cancel.store(true, std::memory_order_release);
+    return true;
 }
 
 void
 WorkerPool::JobContext::armDeadline(double seconds)
 {
+    // Capped at ~31 years so that a huge or infinite deadline cannot
+    // overflow the nanosecond clock into one that has already passed.
+    constexpr double kMaxSeconds = 1e9;
     Slot& slot = pool_->slots_[static_cast<size_t>(worker_)];
     slot.cancel.store(false, std::memory_order_release);
     slot.deadlineNanos.store(
-        seconds > 0
-            ? nowNanos() + static_cast<std::int64_t>(seconds * 1e9)
-            : 0,
+        seconds > 0 ? nowNanos() + static_cast<std::int64_t>(
+                                       std::min(seconds, kMaxSeconds) * 1e9)
+                    : 0,
         std::memory_order_release);
 }
 
 void
 WorkerPool::JobContext::clearDeadline()
 {
+    cancelled(); // latch a deadline that passed before the disarm
     pool_->slots_[static_cast<size_t>(worker_)].deadlineNanos.store(
         0, std::memory_order_release);
 }
@@ -55,7 +66,8 @@ WorkerPool::WorkerPool(const Options& options)
     threads_.reserve(static_cast<size_t>(threads));
     for (int i = 0; i < threads; ++i)
         threads_.emplace_back(&WorkerPool::workerMain, this, i);
-    watchdog_ = std::thread(&WorkerPool::watchdogMain, this);
+    if (metricsEnabled())
+        globalMetrics().counter("pool.created").add();
 }
 
 WorkerPool::~WorkerPool()
@@ -128,9 +140,6 @@ WorkerPool::shutdown()
             t.join();
     }
     threads_.clear();
-    stopping_.store(true, std::memory_order_release);
-    if (watchdog_.joinable())
-        watchdog_.join();
 }
 
 long long
@@ -183,21 +192,6 @@ WorkerPool::workerMain(int index)
         }
         if (became_idle)
             idle_.notify_all();
-    }
-}
-
-void
-WorkerPool::watchdogMain()
-{
-    while (!stopping_.load(std::memory_order_acquire)) {
-        std::int64_t now = nowNanos();
-        for (Slot& slot : slots_) {
-            std::int64_t deadline =
-                slot.deadlineNanos.load(std::memory_order_acquire);
-            if (deadline != 0 && now > deadline)
-                slot.cancel.store(true, std::memory_order_release);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
 }
 

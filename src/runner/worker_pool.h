@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared worker pool: persistent threads, a bounded job queue with
- * non-blocking admission, and a deadline watchdog with cooperative
+ * non-blocking admission, and per-job deadlines with cooperative
  * cancellation.
  *
  * Extracted from BatchRunner so the batch campaigns and the long-running
@@ -14,6 +14,9 @@
  *    control: trySubmit() refuses work beyond the queue bound instead of
  *    blocking, which is what lets the daemon shed load with an explicit
  *    error rather than stacking requests until memory or latency dies.
+ *
+ * A deadline is checked by the job itself, in cancelled() and
+ * clearDeadline(); no thread scans for expired ones.
  *
  * Jobs must not throw; a job body that leaks an exception is contained
  * (counted in the `pool.job.exceptions` metric) so one poisoned job can
@@ -46,7 +49,7 @@ class WorkerPool {
     /**
      * Per-job view handed to the job body: the worker slot index (for
      * lock-free per-worker scratch state), cooperative cancellation and
-     * deadline arming against the pool's shared watchdog.
+     * deadline arming.
      */
     class JobContext {
       public:
@@ -54,19 +57,22 @@ class WorkerPool {
          *  whole job. */
         int worker() const { return worker_; }
 
-        /** True once the watchdog (or cancelAll) asked this job to
-         *  stop. Long-running bodies poll this. */
+        /** True once the armed deadline has passed or cancelAll() asked
+         *  this job to stop; an expired deadline latches the cancel
+         *  flag. Long-running bodies poll this. */
         bool cancelled() const;
 
         /**
          * Arm a deadline @p seconds from now and clear any previous
          * cancellation; @p seconds <= 0 clears the deadline but still
          * resets the cancel flag (a retry loop re-arms per attempt).
+         * An infinite @p seconds never expires.
          */
         void armDeadline(double seconds);
 
-        /** Disarm the deadline (the cancel flag is left as-is so the
-         *  body can still observe a late watchdog decision). */
+        /** Disarm the deadline, first latching the cancel flag if it
+         *  had already passed, so cancelled() afterwards tells whether
+         *  the job overran. */
         void clearDeadline();
 
       private:
@@ -120,16 +126,15 @@ class WorkerPool {
     }
 
   private:
-    /** Watchdog view of one worker's in-flight job. */
+    /** Cancellation state of one worker's in-flight job. */
     struct Slot {
         /** Deadline in steady-clock nanos; 0 = none armed. */
         std::atomic<std::int64_t> deadlineNanos{0};
-        /** Raised by the watchdog when the deadline passes. */
+        /** Latched by an expired deadline or raised by cancelAll(). */
         std::atomic<bool> cancel{false};
     };
 
     void workerMain(int index);
-    void watchdogMain();
 
     Options options_;
     mutable std::mutex mutex_;
@@ -138,8 +143,6 @@ class WorkerPool {
     std::deque<JobFn> queue_;
     std::vector<Slot> slots_;
     std::vector<std::thread> threads_;
-    std::thread watchdog_;
-    std::atomic<bool> stopping_{false};
     int inFlight_ = 0;
     bool shutdownCalled_ = false;
 };

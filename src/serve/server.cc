@@ -477,7 +477,7 @@ std::string
 Server::handleRequest(Session& session, const ServeRequest& request,
                       WorkerPool::JobContext& job)
 {
-    // Failpoint `serve.request`: Stall exercises the deadline watchdog
+    // Failpoint `serve.request`: Stall exercises the request deadline
     // (bounded so an unarmed deadline cannot wedge a worker), Crash
     // exercises the per-request exception quarantine.
     FailpointHit hit = failpointHit("serve.request");

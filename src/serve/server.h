@@ -9,9 +9,9 @@
  *  - Admission control: requests execute on a bounded WorkerPool queue;
  *    a full queue sheds the request with an `E-SERVE-OVERLOAD` response
  *    instead of stacking latency until the process dies.
- *  - Deadlines: every request runs under a deadline enforced by the
- *    pool watchdog (cooperative cancellation); an overrun answers
- *    `E-SERVE-DEADLINE`.
+ *  - Deadlines: every request runs under a worker-pool deadline
+ *    (cooperative cancellation, checked by the request itself); an
+ *    overrun answers `E-SERVE-DEADLINE`.
  *  - Fault isolation: a malformed request, a failing validation or a
  *    poisoned model (an exception out of a stage rebuild) produces a
  *    structured error response on that request only. No request input

@@ -18,7 +18,7 @@
  *                  the underlying operation had failed
  *   crash          the site throws (exercises exception quarantine)
  *   stall          the site blocks until cooperatively cancelled
- *                  (exercises deadline watchdogs); bounded
+ *                  (exercises deadlines); bounded
  *   delay:MS       the site sleeps MS milliseconds, then proceeds
  *   partial-write  a write site truncates its output mid-record and
  *                  must detect + report the short write

@@ -11,8 +11,9 @@
 # before connecting.
 #
 # `fixed` rows pin usage errors that older binaries let through (seconds
-# parsed with atof, switches looked for at one argv slot, stray
-# positional arguments ignored, a count reported as "got 0").
+# and sweep factors parsed with atof, switches looked for at one argv
+# slot, stray positional arguments ignored, a count reported as
+# "got 0").
 #
 # Usage: cli_flags_test.sh <path-to-vdram_cli>
 set -e
@@ -134,6 +135,13 @@ row 2 "100000000" gen-trace $P random 100000001
 row 2 "bogus" gen-trace $P bogus 10
 row 2 "unknown flag '--bogus'" gen-trace $P random 10 --bogus
 fixed 2 "got abc" gen-trace $P random abc
+
+# --- sweep factors ---------------------------------------------------
+row 0 "" sweep $P "Bitline pitch" 0.9 1.1
+fixed 2 "got '1.1x'" sweep $P "Bitline pitch" 1.1x
+fixed 2 "got 'inf'" sweep $P "Bitline pitch" 1.1 inf
+fixed 2 "got 'nan'" sweep $P "Bitline pitch" nan
+fixed 2 "got '0'" sweep $P "Bitline pitch" 0
 
 # --- montecarlo ------------------------------------------------------
 row 0 "" $MC

@@ -24,6 +24,7 @@
 #include "presets/presets.h"
 #include "protocol/idd.h"
 #include "util/diag.h"
+#include "util/metrics.h"
 
 namespace vdram {
 namespace {
@@ -338,6 +339,25 @@ TEST(FitResumeTest, RaisedStopFlagDrainsToInterruptedResult)
 // ---------------------------------------------------------------------
 // Engine validation
 // ---------------------------------------------------------------------
+
+TEST(FitEngineTest, AllGenerationsShareOneWorkerPool)
+{
+    const DramDescription nominal = preset2GbDdr3_55();
+    const FitTargetSpec spec = differentialSpec(nominal, 0.02);
+    FitOptions fit = differentialOptions();
+    fit.maxGenerations = 4;
+    RunnerOptions runner;
+    runner.jobs = 2;
+    setMetricsEnabled(true);
+    const Counter& created = globalMetrics().counter("pool.created");
+    const std::uint64_t before = created.value();
+    Result<FitResult> fitted = runFitCampaign(nominal, spec, fit, runner);
+    const std::uint64_t pools = created.value() - before;
+    setMetricsEnabled(false);
+    ASSERT_TRUE(fitted.ok()) << fitted.error().toString();
+    EXPECT_EQ(fitted.value().history.size(), 8u); // 2 starts x 4
+    EXPECT_EQ(pools, 1u);
+}
 
 TEST(FitEngineTest, RejectsInvalidOptionsSpecAndParameters)
 {

@@ -3,7 +3,8 @@
  * Batch-runner robustness tests: seed-stream derivation, fault
  * injection through the runner.task failpoint, checkpoint crash
  * tolerance, resume round-trips, retry and quarantine semantics,
- * deadline watchdog, graceful draining and parallel determinism. The
+ * deadlines, graceful draining, parallel determinism and the worker
+ * pool itself (deadlines, cancelAll, a pool lent to many runs). The
  * suite carries the "robustness" ctest label and CI also runs it under
  * ThreadSanitizer (-DVDRAM_SANITIZE=thread).
  */
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -28,6 +30,7 @@
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/numerics.h"
+#include "util/strings.h"
 
 namespace vdram {
 namespace {
@@ -588,6 +591,171 @@ TEST(BatchRunnerTest, ParallelRunMatchesSerial)
     };
     EXPECT_EQ(payloads(1), payloads(4));
     EXPECT_EQ(payloads(1), payloads(0)); // 0 = hardware concurrency
+}
+
+// ---------------------------------------------------------------------
+// WorkerPool: deadlines without a scanner thread, cancelAll, borrowing
+// ---------------------------------------------------------------------
+
+/** OS threads of this process (the Threads: line of
+ *  /proc/self/status). */
+int
+processThreadCount()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (startsWith(line, "Threads:"))
+            return std::stoi(line.substr(8));
+    }
+    return -1;
+}
+
+TEST(WorkerPoolTest, PolledDeadlineCancelsWithoutScannerThread)
+{
+    // A first pool lets a sanitizer runtime start its own helper thread
+    // (it does so on the process's first thread) before the count.
+    WorkerPool first(WorkerPool::Options{1, 0});
+    const int before = processThreadCount();
+    WorkerPool pool(WorkerPool::Options{2, 0});
+    // Exactly the worker threads: nothing else watches the deadlines.
+    EXPECT_EQ(processThreadCount(), before + 2);
+
+    std::atomic<bool> saw_cancel{false};
+    std::atomic<long long> waited_ms{0};
+    pool.submit([&](WorkerPool::JobContext& job) {
+        const auto start = std::chrono::steady_clock::now();
+        job.armDeadline(0.02);
+        while (!job.cancelled() &&
+               std::chrono::steady_clock::now() - start <
+                   std::chrono::seconds(5))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        saw_cancel = job.cancelled();
+        waited_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    });
+    pool.drain();
+    EXPECT_TRUE(saw_cancel);
+    EXPECT_GE(waited_ms.load(), 20);
+    EXPECT_LT(waited_ms.load(), 5000);
+}
+
+TEST(WorkerPoolTest, UnpolledOverrunIsLateAfterClearDeadline)
+{
+    WorkerPool pool(WorkerPool::Options{1, 0});
+    std::atomic<bool> overran_late{false};
+    std::atomic<bool> prompt_late{true};
+    pool.submit([&](WorkerPool::JobContext& job) {
+        // Overruns a 5 ms deadline without ever polling cancelled().
+        job.armDeadline(0.005);
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        job.clearDeadline();
+        overran_late = job.cancelled();
+    });
+    pool.submit([&](WorkerPool::JobContext& job) {
+        // Finishes well inside its deadline.
+        job.armDeadline(5.0);
+        job.clearDeadline();
+        prompt_late = job.cancelled();
+    });
+    std::atomic<int> endless_late{0};
+    for (double seconds : {1e300, std::numeric_limits<double>::infinity()}) {
+        // Too far out for the nanosecond clock: must never expire.
+        pool.submit([&endless_late, seconds](WorkerPool::JobContext& job) {
+            job.armDeadline(seconds);
+            std::this_thread::sleep_for(std::chrono::milliseconds(3));
+            job.clearDeadline();
+            endless_late += job.cancelled() ? 1 : 0;
+        });
+    }
+    pool.drain();
+    EXPECT_TRUE(overran_late);
+    EXPECT_FALSE(prompt_late);
+    EXPECT_EQ(endless_late.load(), 0);
+}
+
+TEST(WorkerPoolTest, CancelAllReachesInFlightJobs)
+{
+    WorkerPool pool(WorkerPool::Options{2, 0});
+    std::atomic<int> started{0};
+    std::atomic<int> cancelled{0};
+    for (int i = 0; i < 2; ++i) {
+        pool.submit([&](WorkerPool::JobContext& job) {
+            ++started;
+            const auto start = std::chrono::steady_clock::now();
+            while (!job.cancelled() &&
+                   std::chrono::steady_clock::now() - start <
+                       std::chrono::seconds(5))
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            if (job.cancelled())
+                ++cancelled;
+        });
+    }
+    while (started.load() < 2)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    pool.cancelAll();
+    pool.drain();
+    EXPECT_EQ(cancelled.load(), 2);
+}
+
+TEST(WorkerPoolTest, BorrowedPoolRunsMatchOwnPools)
+{
+    auto payloads = [](const std::vector<TaskSpec>& manifest,
+                       WorkerPool* pool) {
+        RunnerOptions options;
+        options.jobs = 3;
+        options.pool = pool;
+        BatchRunner runner(
+            manifest,
+            [](const TaskContext& context) -> Result<std::string> {
+                if (context.worker < 0 || context.worker >= 3)
+                    return Error{"worker index out of range"};
+                return encodeDoublePayload(
+                    {uniformDoubleOf(splitmix64(context.seed)),
+                     double(context.index)});
+            },
+            options);
+        EXPECT_TRUE(runner.run().ok());
+        EXPECT_TRUE(runner.report().complete());
+        EXPECT_EQ(runner.report().ok, runner.report().total);
+        std::string out;
+        for (const TaskResult& r : runner.results())
+            out += r.payload + "\n";
+        return out;
+    };
+    std::vector<TaskSpec> other;
+    for (int i = 0; i < 17; ++i)
+        other.push_back(TaskSpec{"other-" + std::to_string(i),
+                                 deriveStreamSeed(7, i)});
+    const std::string own_first = payloads(simpleManifest(40), nullptr);
+    const std::string own_second = payloads(other, nullptr);
+
+    setMetricsEnabled(true);
+    const MetricsSnapshot before = globalMetrics().snapshot();
+    WorkerPool pool(WorkerPool::Options{3, 0});
+    EXPECT_EQ(payloads(simpleManifest(40), &pool), own_first);
+    EXPECT_EQ(payloads(other, &pool), own_second);
+    const MetricsSnapshot delta =
+        globalMetrics().snapshot().diffSince(before);
+    setMetricsEnabled(false);
+
+    // One pool for both runs, and the per-worker counters account for
+    // every task under their usual names.
+    EXPECT_EQ(delta.counters.at("pool.created"), 1u);
+    std::uint64_t worker_tasks = 0;
+    for (const auto& [name, value] : delta.counters) {
+        if (startsWith(name, "runner.worker.") && endsWith(name, ".tasks"))
+            worker_tasks += value;
+    }
+    EXPECT_EQ(worker_tasks, 40u + 17u);
+
+    // The runs drained the borrowed pool but left it running.
+    std::atomic<bool> ran{false};
+    EXPECT_TRUE(
+        pool.submit([&ran](WorkerPool::JobContext&) { ran = true; }));
+    pool.drain();
+    EXPECT_TRUE(ran);
 }
 
 TEST(CampaignTest, MonteCarloParallelMatchesSerial)

@@ -2,7 +2,8 @@
 # Full CI sequence: normal build + complete test suite, then an
 # ASan+UBSan build of the robustness surface (parser, validator,
 # diagnostics, CLI lint), a ThreadSanitizer build of the batch-runner
-# and serve-daemon concurrency surface, failpoint chaos smokes (kill -9
+# and serve-daemon concurrency surface (plus a parallel campaign and a
+# fit run under it), failpoint chaos smokes (kill -9
 # mid-checkpoint + resume byte-identity; a serve daemon under injected
 # request crashes; a fleet that self-heals a wedged worker and a
 # kill -9), a fault-injection + resume smoke of the CLI, the
@@ -48,6 +49,14 @@ echo "== robustness suite under ThreadSanitizer =="
 # (cli_serve_drain), so the daemon's accept loop, worker pool and
 # session teardown are raced under TSan every run.
 ctest --test-dir build-tsan -L robustness --output-on-failure -j "$jobs"
+
+echo "== parallel campaign and fit under ThreadSanitizer =="
+# A deadline-armed Monte-Carlo campaign, and a fit whose generations
+# all run on one shared worker pool with polled deadlines.
+./build-tsan/tools/vdram_cli montecarlo preset:ddr2_1g_75 \
+    --samples=200 --seed=7 --jobs=4 --task-timeout=5
+./build-tsan/tools/vdram_cli fit preset:ddr3_1g_55 \
+    --datasheet=ddr3 --rate=1333 --width=16 --starts=2 --jobs=4
 
 echo "== chaos smoke: kill -9 mid-checkpoint, resume byte-identity =="
 # VDRAM_FAILPOINTS=ckpt.append=abort:K aborts the process half-way

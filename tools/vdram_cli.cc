@@ -23,6 +23,7 @@
  */
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -440,6 +441,15 @@ parseInteger(const std::string& text, long long& out)
     return !text.empty() && end == text.c_str() + text.size();
 }
 
+/** Parse all of @p text as a floating-point number (strtod syntax). */
+bool
+parseReal(const std::string& text, double& out)
+{
+    char* end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() && end == text.c_str() + text.size();
+}
+
 /** The report is only noise when every task just succeeded first try. */
 bool
 reportIsTrivial(const RunReport& report)
@@ -672,9 +682,13 @@ cmdSweep(CliArgs& a, const DramDescription& desc)
     std::vector<TaskSpec> manifest;
     for (size_t i = 3; i < a.words.size(); ++i) {
         const char* text = a.words[i].c_str();
-        double factor = std::atof(text);
-        if (factor <= 0) {
-            std::fprintf(stderr, "bad factor '%s'\n", text);
+        double factor = 0;
+        if (!parseReal(a.words[i], factor) || !std::isfinite(factor) ||
+            factor <= 0) {
+            std::fprintf(stderr,
+                         "sweep factor must be a finite number > 0, "
+                         "got '%s'\n",
+                         text);
             return kExitUsage;
         }
         factors.push_back(factor);
@@ -1628,12 +1642,9 @@ parseFlagValue(const Flag& flag, const std::string& text, FlagValue& value)
         return parseInteger(text, value.integer) &&
                static_cast<double>(value.integer) >= flag.lo &&
                static_cast<double>(value.integer) <= flag.hi;
-    case Real: {
-        char* end = nullptr;
-        value.real = std::strtod(text.c_str(), &end);
-        return !text.empty() && end == text.c_str() + text.size() &&
-               value.real >= flag.lo && value.real <= flag.hi;
-    }
+    case Real:
+        return parseReal(text, value.real) && value.real >= flag.lo &&
+               value.real <= flag.hi;
     case Enum:
         for (const std::string& choice : splitChar(flag.meta, '|')) {
             if (text == choice)
