@@ -4,7 +4,7 @@
  * 65 nm and a typical 55 nm part against the vendor band
  * (Samsung/Hynix/Micron/Elpida/Qimonda envelopes).
  *
- * Shape criteria as for Fig. 8: values inside the (15 %-widened) vendor
+ * Shape criteria as for Fig. 8: values inside the 15 %-widened vendor
  * band with the correct frequency/width/operation dependency.
  */
 #include <cstdio>
@@ -25,7 +25,8 @@ main()
     Table table({"point", "datasheet min", "datasheet max", "model 65nm",
                  "model 55nm", "verdict"});
 
-    int in_band = 0;
+    int in_band = 0; // strictly inside the vendor band
+    int widened = 0; // inside the band widened by 15 % (the verdict)
     int total = 0;
     bool monotone = true;
     double prev = 0;
@@ -39,11 +40,17 @@ main()
                                                point.dataRateMbps));
             values[i++] = model.idd(point.measure) * 1e3;
         }
-        auto inside = [&](double v) {
-            return v >= point.minMa * 0.85 && v <= point.maxMa * 1.15;
+        // Verdict: either technology interpretation inside the band
+        // widened by 15 % (the vendor spread itself is ~50 %); the strict
+        // count is reported beside it.
+        auto inside = [&](double v, double widen) {
+            return v >= point.minMa * (1 - widen) &&
+                   v <= point.maxMa * (1 + widen);
         };
-        bool ok = inside(values[0]) || inside(values[1]);
-        in_band += ok;
+        bool strict = inside(values[0], 0) || inside(values[1], 0);
+        bool ok = inside(values[0], 0.15) || inside(values[1], 0.15);
+        in_band += strict;
+        widened += ok;
         ++total;
 
         if (point.measure == prev_measure && prev > 0 &&
@@ -58,12 +65,15 @@ main()
                       strformat("%.0f mA", point.maxMa),
                       strformat("%.1f mA", values[0]),
                       strformat("%.1f mA", values[1]),
-                      ok ? "in band" : "OUT"});
+                      strict ? "in band" : ok ? "within 15 %" : "OUT"});
     }
     std::printf("%s\n", table.render().c_str());
 
-    std::printf("shape: %d / %d points within the vendor band: %s\n",
-                in_band, total, in_band == total ? "PASS" : "FAIL");
+    std::printf("shape: %d / %d points within the vendor band widened "
+                "by 15 %%: %s\n",
+                widened, total, widened == total ? "PASS" : "FAIL");
+    std::printf("strict: %d / %d points inside the vendor band\n", in_band,
+                total);
     std::printf("shape: current rises with data rate and I/O width "
                 "within each measure: %s\n",
                 monotone ? "PASS" : "FAIL");

@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <cmath>
+
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -48,9 +50,12 @@ parseServeRequest(const std::string& line)
     if (!doc.isObject())
         return requestError(0, "request must be a JSON object");
 
+    // Converting a double outside long long's range is undefined.
+    const double id = doc.memberNumber("id", 0);
+    if (!(std::fabs(id) < 9.2e18))
+        return requestError(0, "'id' must be below 9.2e18 in magnitude");
     ServeRequest request;
-    request.id =
-        static_cast<long long>(doc.memberNumber("id", 0));
+    request.id = static_cast<long long>(id);
 
     const std::string op = toLower(doc.memberString("op"));
     if (op == "ping") request.op = ServeOp::Ping;

@@ -8,26 +8,19 @@
 #include <vector>
 
 #if !defined(_WIN32)
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
 #include "dsl/parser.h"
 #include "dsl/writer.h"
 #include "presets/presets.h"
+#include "serve/line_acceptor.h"
 #include "serve/protocol.h"
 #include "util/failpoint.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/strings.h"
-
-#if !defined(MSG_NOSIGNAL)
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace vdram {
 
@@ -116,7 +109,14 @@ responseOk(const std::string& body)
 class Router {
   public:
     explicit Router(RouterOptions options)
-        : options_(std::move(options))
+        : options_(std::move(options)),
+          acceptor_{.socketPath = options_.socketPath,
+                    .port = options_.port,
+                    .errorCode = "E-FLEET-SOCKET",
+                    .name = "fleet",
+                    .idleSessionSeconds = options_.idleSessionSeconds,
+                    .stopFlag = options_.stopFlag,
+                    .onReady = options_.onReady}
     {
     }
 
@@ -142,7 +142,6 @@ class Router {
         bool replayOverflow = false;  ///< baseline not reconstructable
     };
 
-    Result<int> openListener();
     void sessionMain(int fd);
     /** Answer one client line; false once the client socket is dead. */
     bool handleLine(int fd, RouterSession& session,
@@ -162,12 +161,6 @@ class Router {
     /** Replay the session baseline onto the current backend. */
     Status replayBaseline(RouterSession& session);
     bool writeClient(int fd, const std::string& body);
-    bool stopRequested() const
-    {
-        return options_.stopFlag &&
-               options_.stopFlag->load(std::memory_order_relaxed);
-    }
-
     void count(long long RouterStats::*field, const char* metric)
     {
         {
@@ -179,189 +172,40 @@ class Router {
     }
 
     RouterOptions options_;
+    LineAcceptorOptions acceptor_;
     std::mutex statsMutex_;
     RouterStats stats_;
-    std::mutex threadsMutex_;
-    std::vector<std::thread> sessionThreads_;
     std::atomic<std::uint64_t> roundRobin_{0};
 };
-
-Result<int>
-Router::openListener()
-{
-    if (!options_.socketPath.empty()) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create unix socket: ") +
-                             std::strerror(errno),
-                         0, 0, options_.socketPath, "E-FLEET-SOCKET"};
-        }
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (options_.socketPath.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            return Error{"socket path too long: " + options_.socketPath,
-                         0, 0, options_.socketPath, "E-FLEET-SOCKET"};
-        }
-        std::strncpy(addr.sun_path, options_.socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        // The front socket is fleet-owned, same stale-file rule as the
-        // serve daemon's listener.
-        ::unlink(options_.socketPath.c_str());
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on '" + options_.socketPath +
-                            "': " + std::strerror(errno),
-                        0, 0, options_.socketPath, "E-FLEET-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
-    }
-    if (options_.port > 0) {
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create TCP socket: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-FLEET-SOCKET"};
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port =
-            htons(static_cast<std::uint16_t>(options_.port));
-        // Loopback only, like the serve daemon: unauthenticated
-        // protocol, never reachable off-host.
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on loopback port " +
-                            std::to_string(options_.port) + ": " +
-                            std::strerror(errno),
-                        0, 0, "", "E-FLEET-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
-    }
-    return Error{"fleet needs --socket=PATH or --port=N", 0, 0, "",
-                 "E-FLEET-SOCKET"};
-}
 
 Result<RouterStats>
 Router::run()
 {
-    Result<int> listener = openListener();
-    if (!listener.ok())
-        return listener.error();
-    const int listen_fd = listener.value();
-
-    if (options_.onReady)
-        options_.onReady();
-
-    while (!stopRequested()) {
-        pollfd pfd{listen_fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (ready == 0)
-            continue;
-        int client = ::accept(listen_fd, nullptr, nullptr);
-        if (client < 0)
-            continue;
-        count(&RouterStats::connections, "fleet.connections");
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        sessionThreads_.emplace_back(&Router::sessionMain, this,
-                                     client);
-    }
-
-    ::close(listen_fd);
-    if (!options_.socketPath.empty())
-        ::unlink(options_.socketPath.c_str());
-    {
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        for (std::thread& t : sessionThreads_) {
-            if (t.joinable())
-                t.join();
-        }
-        sessionThreads_.clear();
-    }
-
+    Result<bool> drained =
+        runLineAcceptor(acceptor_, [this](int fd) { sessionMain(fd); });
+    if (!drained.ok())
+        return drained.error();
     std::lock_guard<std::mutex> lock(statsMutex_);
-    stats_.drained = stopRequested();
+    stats_.drained = drained.value();
     return stats_;
 }
 
 void
 Router::sessionMain(int fd)
 {
+    count(&RouterStats::connections, "fleet.connections");
     RouterSession session;
     session.roundRobin =
         roundRobin_.fetch_add(1, std::memory_order_relaxed);
-    std::string buffer;
-    double idle_seconds = 0;
-    bool eof = false;
-
     // Same quarantine as the serve daemon: a routing bug or injected
     // crash (fleet.route=crash) tears down this session, not the fleet.
-    try {
-        for (;;) {
-            size_t pos;
-            bool writable = true;
-            while (writable &&
-                   (pos = buffer.find('\n')) != std::string::npos) {
-                std::string line = buffer.substr(0, pos);
-                buffer.erase(0, pos + 1);
-                writable = handleLine(fd, session, line);
-            }
-            if (!writable)
-                break;
-            if (stopRequested())
-                break; // drain: everything read has been answered
-            if (eof) {
-                if (!trim(buffer).empty())
-                    handleLine(fd, session, buffer);
-                break;
-            }
-            pollfd pfd{fd, POLLIN, 0};
-            int ready = ::poll(&pfd, 1, 200);
-            if (ready < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            if (ready == 0) {
-                idle_seconds += 0.2;
-                if (options_.idleSessionSeconds > 0 &&
-                    idle_seconds >= options_.idleSessionSeconds)
-                    break;
-                continue;
-            }
-            char chunk[4096];
-            ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-            if (got < 0) {
-                if (errno == EINTR || errno == EAGAIN)
-                    continue;
-                break;
-            }
-            if (got == 0) {
-                eof = true;
-                continue;
-            }
-            idle_seconds = 0;
-            buffer.append(chunk, static_cast<size_t>(got));
-        }
-    } catch (...) {
+    SessionEnd end = runLineSession(
+        fd, acceptor_, [this, fd, &session](const std::string& line) {
+            return handleLine(fd, session, line);
+        });
+    if (end == SessionEnd::Faulted)
         count(&RouterStats::sessionFaults, "fleet.sessions.faulted");
-    }
     closeBackend(session);
-    ::close(fd);
 }
 
 void
@@ -389,21 +233,12 @@ Router::ensureBackend(RouterSession& session, std::uint64_t routeKey)
                 return Status::okStatus(); // still the same incarnation
             }
             closeBackend(session);
-            int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-            if (fd >= 0) {
-                sockaddr_un addr{};
-                addr.sun_family = AF_UNIX;
-                std::strncpy(addr.sun_path, target.socketPath.c_str(),
-                             sizeof(addr.sun_path) - 1);
-                if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                              sizeof(addr)) == 0) {
-                    session.backend.fd = fd;
-                    session.backend.workerIndex = index;
-                    session.backend.generation = target.generation;
-                    session.backend.buffer.clear();
-                    return Status::okStatus();
-                }
-                ::close(fd);
+            Result<int> connected = connectLocal(target.socketPath, 0);
+            if (connected.ok()) {
+                session.backend.fd = connected.value();
+                session.backend.workerIndex = index;
+                session.backend.generation = target.generation;
+                return Status::okStatus();
             }
             // Connect raced with a worker death; fall through and wait
             // for the supervisor to see it too.
@@ -420,22 +255,12 @@ Result<std::string>
 Router::exchange(RouterSession& session, const std::string& line)
 {
     Backend& backend = session.backend;
-    std::string out = line;
-    out += '\n';
-    size_t sent = 0;
-    while (sent < out.size()) {
-        ssize_t n = ::send(backend.fd, out.data() + sent,
-                           out.size() - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // EPIPE/ECONNRESET here is the worker dying mid-request:
-            // the failover trigger, not a session error.
-            return Error{std::string("worker write failed: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-FLEET-SOCKET"};
-        }
-        sent += static_cast<size_t>(n);
+    if (!sendAll(backend.fd, line + '\n')) {
+        // EPIPE/ECONNRESET here is the worker dying mid-request: the
+        // failover trigger, not a session error.
+        return Error{std::string("worker write failed: ") +
+                         std::strerror(errno),
+                     0, 0, "", "E-FLEET-SOCKET"};
     }
 
     for (;;) {
@@ -456,11 +281,8 @@ Router::exchange(RouterSession& session, const std::string& line)
         }
         if (ready == 0)
             continue; // the worker's own deadline bounds this wait
-        char chunk[4096];
-        ssize_t got = ::recv(backend.fd, chunk, sizeof chunk, 0);
+        long got = recvAppend(backend.fd, backend.buffer);
         if (got < 0) {
-            if (errno == EINTR || errno == EAGAIN)
-                continue;
             return Error{std::string("worker read failed: ") +
                              std::strerror(errno),
                          0, 0, "", "E-FLEET-SOCKET"};
@@ -469,7 +291,6 @@ Router::exchange(RouterSession& session, const std::string& line)
             return Error{"worker closed mid-request", 0, 0, "",
                          "E-FLEET-SOCKET"};
         }
-        backend.buffer.append(chunk, static_cast<size_t>(got));
     }
 }
 
@@ -541,25 +362,12 @@ Router::failover(RouterSession& session, std::uint64_t routeKey,
 bool
 Router::writeClient(int fd, const std::string& body)
 {
-    if (body.empty())
-        return true;
-    std::string line = body;
-    line += '\n';
-    size_t sent = 0;
-    while (sent < line.size()) {
-        ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // EPIPE lands here (SIGPIPE is suppressed): the client is
-            // gone; the response is charged to responsesFailed and the
-            // session closes — the fleet lives.
-            count(&RouterStats::responsesFailed,
-                  "fleet.responses.failed");
-            return false;
-        }
-        sent += static_cast<size_t>(n);
+    if (!sendAll(fd, body + '\n')) {
+        // EPIPE lands here (SIGPIPE is suppressed): the client is gone;
+        // the response is charged to responsesFailed and the session
+        // closes — the fleet lives.
+        count(&RouterStats::responsesFailed, "fleet.responses.failed");
+        return false;
     }
     count(&RouterStats::responsesWritten, "fleet.responses.written");
     return true;
@@ -569,8 +377,6 @@ bool
 Router::handleLine(int fd, RouterSession& session,
                    const std::string& line)
 {
-    if (trim(line).empty())
-        return true; // blank keep-alive, no response owed
     count(&RouterStats::requestsAccepted, "fleet.requests.accepted");
 
     Result<ServeRequest> parsed = parseServeRequest(line);
@@ -625,7 +431,6 @@ Router::handleLine(int fd, RouterSession& session,
     // A session re-homed by a load must carry nothing over; a session
     // continuing on its worker exchanges directly, failing over when
     // the worker dies under the request.
-    bool viaFailover = false;
     std::string response;
     Result<std::string> exchanged = exchange(session, line);
     if (exchanged.ok()) {
@@ -633,7 +438,6 @@ Router::handleLine(int fd, RouterSession& session,
     } else {
         Result<std::string> recovered =
             failover(session, routeKey, line);
-        viaFailover = true;
         if (recovered.ok()) {
             response = recovered.value();
         } else {
@@ -649,7 +453,6 @@ Router::handleLine(int fd, RouterSession& session,
         }
     }
     count(&RouterStats::requestsRouted, "fleet.requests.routed");
-    (void)viaFailover;
 
     // Track the replayable baseline: only acked state-changing ops.
     const bool ok = responseOk(response);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -12,12 +12,8 @@
 #include <vector>
 
 #if !defined(_WIN32)
-#include <arpa/inet.h>
 #include <cerrno>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -26,9 +22,11 @@
 #include "core/variant_evaluator.h"
 #include "dsl/parser.h"
 #include "dsl/writer.h"
+#include "fit/target_spec.h"
 #include "presets/presets.h"
 #include "protocol/idd.h"
 #include "runner/worker_pool.h"
+#include "serve/line_acceptor.h"
 #include "serve/model_cache.h"
 #include "serve/protocol.h"
 #include "util/backoff.h"
@@ -37,10 +35,6 @@
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/strings.h"
-
-#if !defined(MSG_NOSIGNAL)
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace vdram {
 
@@ -83,14 +77,6 @@ serveSendLines(const std::string&, int, const std::string&)
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
 /** Per-connection model state. Owned by exactly one session thread, so
  *  no lock: request execution is serialized per session. */
 struct Session {
@@ -111,27 +97,17 @@ perturbParams()
     return *params;
 }
 
-Result<IddMeasure>
-measureByName(const std::string& lower)
-{
-    static const IddMeasure all[] = {
-        IddMeasure::Idd0,  IddMeasure::Idd1,  IddMeasure::Idd2N,
-        IddMeasure::Idd2P, IddMeasure::Idd3N, IddMeasure::Idd3P,
-        IddMeasure::Idd4R, IddMeasure::Idd4W, IddMeasure::Idd5,
-        IddMeasure::Idd6,  IddMeasure::Idd7,
-    };
-    for (IddMeasure measure : all) {
-        if (toLower(iddName(measure)) == lower)
-            return measure;
-    }
-    return Error{"unknown IDD measure '" + lower + "'", 0, 0, "",
-                 "E-SERVE-REQUEST"};
-}
-
 class Server {
   public:
     explicit Server(const ServeOptions& options)
         : options_(options),
+          acceptor_{.socketPath = options.socketPath,
+                    .port = options.port,
+                    .errorCode = "E-SERVE-SOCKET",
+                    .name = "serve",
+                    .idleSessionSeconds = options.idleSessionSeconds,
+                    .stopFlag = options.stopFlag,
+                    .onReady = options.onReady},
           pool_(WorkerPool::Options{
               options.threads > 0 ? options.threads : 2,
               std::max<long long>(1, options.queueCapacity)}),
@@ -142,14 +118,8 @@ class Server {
     Result<ServeStats> run();
 
   private:
-    bool stopRequested() const
-    {
-        return options_.stopFlag &&
-               options_.stopFlag->load(std::memory_order_relaxed);
-    }
-
-    Result<int> openListener();
     void sessionMain(int fd);
+    void setActiveGauge(int delta);
     /** One request line -> exactly one response line. Returns false
      *  when the connection is no longer writable. */
     bool handleLine(int fd, Session& session, const std::string& line);
@@ -172,216 +142,59 @@ class Server {
     }
 
     ServeOptions options_;
+    LineAcceptorOptions acceptor_;
     WorkerPool pool_;
     ModelCache cache_;
     std::mutex statsMutex_;
     ServeStats stats_;
-    std::mutex threadsMutex_;
-    std::vector<std::thread> sessionThreads_;
     std::atomic<int> activeSessions_{0};
 };
-
-Result<int>
-Server::openListener()
-{
-    if (!options_.socketPath.empty()) {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create unix socket: ") +
-                             std::strerror(errno),
-                         0, 0, options_.socketPath, "E-SERVE-SOCKET"};
-        }
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (options_.socketPath.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            return Error{"socket path too long: " + options_.socketPath,
-                         0, 0, options_.socketPath, "E-SERVE-SOCKET"};
-        }
-        std::strncpy(addr.sun_path, options_.socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        // The daemon owns its socket path: a stale file from a killed
-        // predecessor must not prevent startup.
-        ::unlink(options_.socketPath.c_str());
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on '" + options_.socketPath +
-                            "': " + std::strerror(errno),
-                        0, 0, options_.socketPath, "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
-    }
-    if (options_.port > 0) {
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create TCP socket: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-SERVE-SOCKET"};
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port =
-            htons(static_cast<std::uint16_t>(options_.port));
-        // Loopback only: the daemon speaks an unauthenticated protocol
-        // and must never be reachable from off-host.
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)) != 0 ||
-            ::listen(fd, 64) != 0) {
-            Error error{"cannot listen on loopback port " +
-                            std::to_string(options_.port) + ": " +
-                            std::strerror(errno),
-                        0, 0, "", "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        return fd;
-    }
-    return Error{"serve needs --socket=PATH or --port=N", 0, 0, "",
-                 "E-SERVE-SOCKET"};
-}
 
 Result<ServeStats>
 Server::run()
 {
-    Result<int> listener = openListener();
-    if (!listener.ok())
-        return listener.error();
-    const int listen_fd = listener.value();
-
-    if (options_.onReady)
-        options_.onReady();
-
-    // Accept loop: poll so the stop flag is observed within ~200 ms.
-    while (!stopRequested()) {
-        pollfd pfd{listen_fd, POLLIN, 0};
-        int ready = ::poll(&pfd, 1, 200);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break; // listener died; drain what we have
-        }
-        if (ready == 0)
-            continue;
-        int client = ::accept(listen_fd, nullptr, nullptr);
-        if (client < 0)
-            continue; // transient accept failure; the daemon lives
-        count(&ServeStats::connections, "serve.connections.accepted");
-        activeSessions_.fetch_add(1, std::memory_order_relaxed);
-        if (metricsEnabled()) {
-            globalMetrics()
-                .gauge("serve.sessions.active")
-                .set(activeSessions_.load(std::memory_order_relaxed));
-        }
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        sessionThreads_.emplace_back(&Server::sessionMain, this, client);
-    }
-
-    // Drain: stop accepting, answer everything already read, then stop
-    // the pool. Session threads observe the stop flag within one poll
-    // round.
-    ::close(listen_fd);
-    if (!options_.socketPath.empty())
-        ::unlink(options_.socketPath.c_str());
-    {
-        std::lock_guard<std::mutex> lock(threadsMutex_);
-        for (std::thread& t : sessionThreads_) {
-            if (t.joinable())
-                t.join();
-        }
-        sessionThreads_.clear();
-    }
+    Result<bool> drained =
+        runLineAcceptor(acceptor_, [this](int fd) { sessionMain(fd); });
+    if (!drained.ok())
+        return drained.error();
+    // Every session has answered what it read; now stop the pool.
     pool_.drain();
     pool_.shutdown();
 
     std::lock_guard<std::mutex> lock(statsMutex_);
-    stats_.drained = stopRequested();
+    stats_.drained = drained.value();
     return stats_;
+}
+
+void
+Server::setActiveGauge(int delta)
+{
+    int active =
+        activeSessions_.fetch_add(delta, std::memory_order_relaxed) + delta;
+    if (metricsEnabled())
+        globalMetrics().gauge("serve.sessions.active").set(active);
 }
 
 void
 Server::sessionMain(int fd)
 {
+    count(&ServeStats::connections, "serve.connections.accepted");
+    setActiveGauge(+1);
     Session session;
-    std::string buffer;
-    double idle_seconds = 0;
-    bool eof = false;
-
-    // The whole session is exception-quarantined: a bug or injected
-    // crash tears down THIS connection, never the daemon.
-    try {
-        for (;;) {
-            size_t pos;
-            bool writable = true;
-            while (writable &&
-                   (pos = buffer.find('\n')) != std::string::npos) {
-                std::string line = buffer.substr(0, pos);
-                buffer.erase(0, pos + 1);
-                writable = handleLine(fd, session, line);
-            }
-            if (!writable)
-                break;
-            if (stopRequested())
-                break; // drain: everything read has been answered
-            if (eof) {
-                // Half-close: a final unterminated line still counts.
-                if (!trim(buffer).empty())
-                    handleLine(fd, session, buffer);
-                break;
-            }
-            pollfd pfd{fd, POLLIN, 0};
-            int ready = ::poll(&pfd, 1, 200);
-            if (ready < 0) {
-                if (errno == EINTR)
-                    continue;
-                break;
-            }
-            if (ready == 0) {
-                idle_seconds += 0.2;
-                if (options_.idleSessionSeconds > 0 &&
-                    idle_seconds >= options_.idleSessionSeconds) {
-                    count(&ServeStats::idleEvicted,
-                          "serve.sessions.evicted_idle");
-                    break;
-                }
-                continue;
-            }
-            char chunk[4096];
-            ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-            if (got < 0) {
-                if (errno == EINTR || errno == EAGAIN)
-                    continue;
-                break;
-            }
-            if (got == 0) {
-                eof = true;
-                continue;
-            }
-            idle_seconds = 0;
-            buffer.append(chunk, static_cast<size_t>(got));
-        }
-    } catch (...) {
+    SessionEnd end = runLineSession(
+        fd, acceptor_, [this, fd, &session](const std::string& line) {
+            return handleLine(fd, session, line);
+        });
+    if (end == SessionEnd::Idle)
+        count(&ServeStats::idleEvicted, "serve.sessions.evicted_idle");
+    else if (end == SessionEnd::Faulted)
         count(&ServeStats::sessionFaults, "serve.sessions.faulted");
-    }
-    ::close(fd);
-    activeSessions_.fetch_sub(1, std::memory_order_relaxed);
-    if (metricsEnabled()) {
-        globalMetrics()
-            .gauge("serve.sessions.active")
-            .set(activeSessions_.load(std::memory_order_relaxed));
-    }
+    setActiveGauge(-1);
 }
 
 bool
 Server::handleLine(int fd, Session& session, const std::string& line)
 {
-    if (trim(line).empty())
-        return true; // blank keep-alive line, no response owed
     count(&ServeStats::requestsAccepted, "serve.requests.accepted");
 
     Result<ServeRequest> parsed = parseServeRequest(line);
@@ -397,27 +210,13 @@ Server::handleLine(int fd, Session& session, const std::string& line)
     // Admission control: the bounded pool queue is the backpressure
     // boundary. Shedding answers immediately — the client learns the
     // daemon is saturated instead of waiting into a timeout.
-    struct Pending {
-        std::mutex mutex;
-        std::condition_variable cv;
-        bool done = false;
-        std::string body;
-    };
-    Pending pending;
+    // The job co-owns the promise, so the session may stop waiting the
+    // moment the value is set without racing the worker's set_value().
+    auto pending = std::make_shared<std::promise<std::string>>();
+    std::future<std::string> body = pending->get_future();
     bool admitted = pool_.trySubmit(
-        [this, &session, &request, &pending](
-            WorkerPool::JobContext& job) {
-            std::string body = executeRequest(session, request, job);
-            {
-                std::lock_guard<std::mutex> lock(pending.mutex);
-                pending.body = std::move(body);
-                pending.done = true;
-                // Notify under the lock: `pending` lives on the
-                // session thread's stack and is destroyed the moment
-                // the waiter sees done — an unlocked notify could
-                // touch a dead condition_variable.
-                pending.cv.notify_one();
-            }
+        [this, &session, &request, pending](WorkerPool::JobContext& job) {
+            pending->set_value(executeRequest(session, request, job));
         });
     if (metricsEnabled()) {
         globalMetrics().gauge("serve.queue.depth").set(
@@ -431,13 +230,7 @@ Server::handleLine(int fd, Session& session, const std::string& line)
             renderServeError(request.id, "E-SERVE-OVERLOAD",
                              "request queue is full; retry later"));
     }
-    std::string body;
-    {
-        std::unique_lock<std::mutex> lock(pending.mutex);
-        pending.cv.wait(lock, [&pending] { return pending.done; });
-        body = std::move(pending.body);
-    }
-    return writeResponse(fd, body);
+    return writeResponse(fd, body.get());
 }
 
 std::string
@@ -496,8 +289,10 @@ Server::handleRequest(Session& session, const ServeRequest& request,
         double cap = options_.deadlineSeconds > 0
                          ? options_.maxDeadlineSeconds * 4
                          : 0.2;
-        Clock::time_point start = Clock::now();
-        while (!job.cancelled() && secondsSince(start) < cap) {
+        using Clock = std::chrono::steady_clock;
+        const auto until =
+            Clock::now() + std::chrono::duration<double>(cap);
+        while (!job.cancelled() && Clock::now() < until) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(1));
         }
@@ -633,7 +428,7 @@ Server::handleRequest(Session& session, const ServeRequest& request,
         }
         if (request.op == ServeOp::Idd) {
             Result<IddMeasure> measure =
-                measureByName(request.measure);
+                parseIddMeasureName(request.measure);
             if (!measure.ok()) {
                 return renderServeError(request.id, "E-SERVE-REQUEST",
                                         measure.error().message);
@@ -754,25 +549,15 @@ Server::writeResponse(int fd, const std::string& body)
         std::abort();
     if (hit.action == FailpointAction::Error ||
         hit.action == FailpointAction::PartialWrite) {
-        if (hit.action == FailpointAction::PartialWrite) {
-            ::send(fd, line.data(), line.size() / 2, MSG_NOSIGNAL);
-        }
+        if (hit.action == FailpointAction::PartialWrite)
+            sendAll(fd, line.substr(0, line.size() / 2));
         count(&ServeStats::responsesFailed, "serve.responses.failed");
         return false;
     }
 
-    size_t sent = 0;
-    while (sent < line.size()) {
-        ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            count(&ServeStats::responsesFailed,
-                  "serve.responses.failed");
-            return false;
-        }
-        sent += static_cast<size_t>(n);
+    if (!sendAll(fd, line)) {
+        count(&ServeStats::responsesFailed, "serve.responses.failed");
+        return false;
     }
     count(&ServeStats::responsesWritten, "serve.responses.written");
     return true;
@@ -791,103 +576,38 @@ Result<std::string>
 serveSendLines(const std::string& socketPath, int port,
                const std::string& input)
 {
-    int fd = -1;
-    if (!socketPath.empty()) {
-        fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create unix socket: ") +
-                             std::strerror(errno),
-                         0, 0, socketPath, "E-SERVE-SOCKET"};
-        }
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (socketPath.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            return Error{"socket path too long: " + socketPath, 0, 0,
-                         socketPath, "E-SERVE-SOCKET"};
-        }
-        std::strncpy(addr.sun_path, socketPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) != 0) {
-            // ECONNREFUSED/ENOENT mean no request reached a daemon —
-            // the one connect failure a client may safely retry.
-            const char* code = (errno == ECONNREFUSED ||
-                                errno == ENOENT)
-                                   ? "E-SERVE-REFUSED"
-                                   : "E-SERVE-SOCKET";
-            Error error{"cannot connect to '" + socketPath +
-                            "': " + std::strerror(errno),
-                        0, 0, socketPath, code};
-            ::close(fd);
-            return error;
-        }
-    } else if (port > 0) {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            return Error{std::string("cannot create TCP socket: ") +
-                             std::strerror(errno),
-                         0, 0, "", "E-SERVE-SOCKET"};
-        }
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) != 0) {
-            const char* code = errno == ECONNREFUSED
-                                   ? "E-SERVE-REFUSED"
-                                   : "E-SERVE-SOCKET";
-            Error error{"cannot connect to loopback port " +
-                            std::to_string(port) + ": " +
-                            std::strerror(errno),
-                        0, 0, "", code};
-            ::close(fd);
-            return error;
-        }
-    } else {
+    if (socketPath.empty() && port <= 0) {
         return Error{"serve-send needs --socket=PATH or --port=N", 0, 0,
                      "", "E-SERVE-SOCKET"};
     }
+    Result<int> connected = connectLocal(socketPath, port);
+    if (!connected.ok())
+        return connected.error();
+    const int fd = connected.value();
+    struct FdGuard {
+        int fd;
+        ~FdGuard() { ::close(fd); }
+    } guard{fd};
 
     std::string out = input;
     if (!out.empty() && out.back() != '\n')
         out += '\n';
-    size_t sent = 0;
-    while (sent < out.size()) {
-        ssize_t n = ::send(fd, out.data() + sent, out.size() - sent,
-                           MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            Error error{std::string("request write failed: ") +
-                            std::strerror(errno),
-                        0, 0, "", "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        sent += static_cast<size_t>(n);
+    if (!sendAll(fd, out)) {
+        return Error{std::string("request write failed: ") +
+                         std::strerror(errno),
+                     0, 0, "", "E-SERVE-SOCKET"};
     }
     ::shutdown(fd, SHUT_WR);
 
     std::string responses;
-    char chunk[4096];
-    for (;;) {
-        ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            Error error{std::string("response read failed: ") +
-                            std::strerror(errno),
-                        0, 0, "", "E-SERVE-SOCKET"};
-            ::close(fd);
-            return error;
-        }
-        if (got == 0)
-            break;
-        responses.append(chunk, static_cast<size_t>(got));
+    long got;
+    while ((got = recvAppend(fd, responses)) > 0) {
     }
-    ::close(fd);
+    if (got < 0) {
+        return Error{std::string("response read failed: ") +
+                         std::strerror(errno),
+                     0, 0, "", "E-SERVE-SOCKET"};
+    }
     return responses;
 }
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,6 +138,7 @@ TEST(ServeProtocolTest, RejectsMalformedRequestsWithIdEcho)
         "{\"id\":3,\"op\":\"perturb\"}",            // perturb w/o param
         "{\"id\":3,\"op\":\"ping\",\"factor\":-1}", // bad factor
         "{\"id\":3,\"op\":\"ping\",\"deadline\":1e9}",
+        "{\"id\":1e300,\"op\":\"ping\"}", // id beyond long long
     };
     for (const char* line : bad) {
         Result<ServeRequest> parsed = parseServeRequest(line);
@@ -467,6 +469,68 @@ TEST(ServeDaemonTest, IdleSessionIsEvicted)
 
     ServeStats stats = daemon.stopAndJoin();
     EXPECT_GE(stats.idleEvicted, 1);
+}
+
+TEST(ServeDaemonTest, RandomByteMutationsGetOneStructuredAnswerEach)
+{
+    // Valid request frames; each round flips bytes in one and sometimes
+    // tears it short.
+    const std::vector<std::string> frames = {
+        "{\"id\":101,\"op\":\"ping\"}",
+        "{\"id\":102,\"op\":\"list\"}",
+        "{\"id\":103,\"op\":\"load\",\"preset\":\"ddr3_1g_55\"}",
+        "{\"id\":104,\"op\":\"evaluate\",\"deadline\":2.5}",
+        "{\"id\":105,\"op\":\"idd\",\"measure\":\"idd4r\"}",
+        "{\"id\":106,\"op\":\"perturb\",\"param\":\"Bitline pitch\","
+        "\"factor\":1.25}",
+        "{\"id\":107,\"op\":\"reset\"}",
+        "{\"id\":108,\"op\":\"stats\"}",
+    };
+    DaemonFixture daemon(baseOptions("mutations"));
+    ASSERT_TRUE(daemon.ready());
+
+    std::mt19937_64 rng(20261022);
+    const char garbage[] = "{}[]\",:0.eE+-\\x7f\x01\xff nul";
+    std::uniform_int_distribution<size_t> chr_dist(0, sizeof(garbage) - 2);
+    // 600 mutated frames, 50 pipelined per connection.
+    for (int batch = 0; batch < 12; ++batch) {
+        std::string input;
+        size_t expected = 0;
+        for (int round = 0; round < 50; ++round) {
+            std::string mutated = frames[rng() % frames.size()];
+            const int edits = 1 + static_cast<int>(rng() % 6);
+            for (int e = 0; e < edits; ++e)
+                mutated[rng() % mutated.size()] = garbage[chr_dist(rng)];
+            if (round % 3 == 0)
+                mutated.resize(rng() % mutated.size()); // torn frame
+            expected += trim(mutated).empty() ? 0 : 1;
+            input += mutated + "\n";
+        }
+        Result<std::string> replies = daemon.send(input);
+        ASSERT_TRUE(replies.ok()) << replies.error().toString();
+        std::vector<std::string> out = lines(replies.value());
+        ASSERT_EQ(out.size(), expected) << "batch " << batch;
+        for (const std::string& reply : out) {
+            Result<JsonValue> doc = parseJson(reply);
+            ASSERT_TRUE(doc.ok()) << reply;
+            if (reply.find("\"ok\":true") != std::string::npos)
+                continue;
+            EXPECT_NE(reply.find("\"ok\":false"), std::string::npos)
+                << reply;
+            EXPECT_EQ(doc.value().memberString("code").rfind("E-", 0), 0u)
+                << reply;
+        }
+    }
+
+    // The daemon still answers after the barrage.
+    Result<std::string> pong = daemon.send("{\"id\":1,\"op\":\"ping\"}\n");
+    ASSERT_TRUE(pong.ok()) << pong.error().toString();
+    EXPECT_NE(pong.value().find("\"pong\":true"), std::string::npos);
+
+    ServeStats stats = daemon.stopAndJoin();
+    EXPECT_EQ(stats.sessionFaults, 0);
+    EXPECT_EQ(stats.requestsAccepted,
+              stats.responsesWritten + stats.responsesFailed);
 }
 
 } // namespace

@@ -18,8 +18,9 @@ set -euo pipefail
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "== release build + full test suite (VDRAM_SIMD default) =="
-cmake -B build -S .
+echo "== release build (-Werror) + full test suite (VDRAM_SIMD default) =="
+# A clean Release build prints no warnings; keep it that way.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
